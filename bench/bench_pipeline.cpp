@@ -14,13 +14,14 @@
 //   * windowed-improved solver throughput (windows/sec, alignments/sec)
 //     with MemStats DP traffic and steady-state scratch allocations
 //     (must be 0 per window once the arenas are warm),
-//   * MappingPipeline reads/sec for the secondary-emitting full flow,
-//     the primary-only single-phase flow, and the primary-only two-phase
-//     distance-first flow, plus the two-phase speedup,
+//   * MappingPipeline reads/sec for the secondary-emitting full flow and
+//     the primary-only two-phase distance-first flow (with and without
+//     the sketch prefilter), plus the two-phase speedup,
 //   * peak RSS.
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "genasmx/core/windowed.hpp"
@@ -64,16 +65,13 @@ struct FlowTiming {
 
 FlowTiming timeFlow(const std::string& genome,
                     const std::vector<io::FastxRecord>& reads,
-                    bool emit_secondary, bool two_phase,
-                    bool batched_distance = true,
+                    bool emit_secondary,
                     pipeline::PrefilterMode prefilter =
                         pipeline::PrefilterMode::kOff) {
   pipeline::PipelineConfig pcfg;
   pcfg.engine.backend = "windowed-improved";
   pcfg.engine.threads = 1;  // single-thread: stable, host-comparable
   pcfg.emit_secondary = emit_secondary;
-  pcfg.two_phase = two_phase;
-  pcfg.batched_distance = batched_distance;
   pcfg.prefilter.mode = prefilter;
   pipeline::MappingPipeline pipe(
       refmodel::Reference("bench_ref", std::string(genome)), pcfg);
@@ -423,20 +421,12 @@ int runTracked(bench::WorkloadConfig cfg) {
               index_serial_seconds, index_load_speedup);
 
   // --- pipeline flows.
-  const FlowTiming full = timeFlow(w.genome, reads, true, false);
-  const FlowTiming single = timeFlow(w.genome, reads, false, false);
-  const FlowTiming two = timeFlow(w.genome, reads, false, true);
-  const FlowTiming two_scalar_p1 =
-      timeFlow(w.genome, reads, false, true, /*batched_distance=*/false);
-  const FlowTiming two_prefilter =
-      timeFlow(w.genome, reads, false, true, /*batched_distance=*/true,
-               pipeline::PrefilterMode::kSketch);
+  const FlowTiming full = timeFlow(w.genome, reads, true);
+  const FlowTiming two = timeFlow(w.genome, reads, false);
+  const FlowTiming two_prefilter = timeFlow(
+      w.genome, reads, false, pipeline::PrefilterMode::kSketch);
   const double speedup =
       two.seconds > 0 ? full.seconds / two.seconds : 0;
-  const double p1_speedup = two.stages.phase1_distance_s > 0
-                                ? two_scalar_p1.stages.phase1_distance_s /
-                                      two.stages.phase1_distance_s
-                                : 0;
   const double pf_filtered_fraction =
       two_prefilter.prefilter.candidates_seen > 0
           ? static_cast<double>(two_prefilter.prefilter.candidates_filtered) /
@@ -451,20 +441,12 @@ int runTracked(bench::WorkloadConfig cfg) {
   std::printf("\npipeline (1 thread, windowed-improved):\n");
   std::printf("  full flow (secondaries)        %8.3fs %10.1f reads/s  %zu records\n",
               full.seconds, full.reads_per_sec, full.records);
-  std::printf("  primary-only, single-phase     %8.3fs %10.1f reads/s  %zu records\n",
-              single.seconds, single.reads_per_sec, single.records);
   std::printf("  primary-only, two-phase        %8.3fs %10.1f reads/s  %zu records\n",
               two.seconds, two.reads_per_sec, two.records);
-  std::printf("  two-phase, scalar phase 1      %8.3fs %10.1f reads/s  %zu records\n",
-              two_scalar_p1.seconds, two_scalar_p1.reads_per_sec,
-              two_scalar_p1.records);
   std::printf("  two-phase + sketch prefilter   %8.3fs %10.1f reads/s  %zu records\n",
               two_prefilter.seconds, two_prefilter.reads_per_sec,
               two_prefilter.records);
   std::printf("  two-phase speedup vs full      %8.2fx\n", speedup);
-  std::printf("  batched phase-1 speedup        %8.2fx (%.3fs -> %.3fs)\n",
-              p1_speedup, two_scalar_p1.stages.phase1_distance_s,
-              two.stages.phase1_distance_s);
   std::printf("  prefilter: %llu/%llu non-best candidates dropped (%.1f%%), "
               "sketch %.3fs, phase-1 %.3fs -> %.3fs (%.2fx), steady grow "
               "events %llu (must be 0)\n",
@@ -595,6 +577,8 @@ int runTracked(bench::WorkloadConfig cfg) {
         .str("mode", "quick")
         .str("backend", "windowed-improved")
         .num("threads", 1)
+        .num("host_cores",
+             static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
         .str("simd_isa", std::string(simd::isaName(isa)))
         .obj("workload", workload)
         .obj("aligner", aligner)
@@ -604,14 +588,11 @@ int runTracked(bench::WorkloadConfig cfg) {
         .obj("index_build_single_contig", index_build_single_contig)
         .obj("index_load", index_load)
         .obj("pipeline_full", flow(full))
-        .obj("pipeline_primary_single_phase", flow(single))
         .obj("pipeline_primary_two_phase", flow(two))
-        .obj("pipeline_primary_two_phase_scalar_p1", flow(two_scalar_p1))
         .obj("pipeline_primary_two_phase_prefilter", flow(two_prefilter))
         .obj("stage_breakdown", stage_breakdown)
         .obj("candidate_prefilter", candidate_prefilter)
         .num("speedup_two_phase_vs_full", speedup)
-        .num("speedup_batched_phase1_vs_scalar", p1_speedup)
         .num("peak_rss_bytes", bench::peakRssBytes());
     if (!root.writeFile(cfg.json_path)) {
       std::fprintf(stderr, "error: cannot write %s\n",

@@ -3,6 +3,15 @@
 #include <utility>
 
 namespace gx::engine {
+namespace {
+
+/// Fewest tasks a batch chunk carries: a small batch packs its tasks into
+/// one aligner's SIMD lanes (and runs inline on the calling thread when
+/// it fits one chunk) instead of spreading one task per worker. Results
+/// do not depend on chunking.
+constexpr std::size_t kMinChunkTasks = 4;
+
+}  // namespace
 
 AlignmentEngine::AlignmentEngine(EngineConfig cfg)
     : cfg_(std::move(cfg)), pool_(cfg_.threads) {
@@ -49,8 +58,10 @@ void AlignmentEngine::releaseAligner(AlignerPtr aligner) {
 }
 
 std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
-    const std::vector<AlignmentTask>& tasks) {
+    const std::vector<AlignmentTask>& tasks,
+    std::vector<unsigned char>* failed) {
   std::vector<common::AlignmentResult> results(tasks.size());
+  if (failed != nullptr) failed->assign(tasks.size(), 0);
   pool_.parallel_for(tasks.size(), [&](std::size_t begin, std::size_t end) {
     // One checked-out aligner per chunk: solver scratch amortizes across
     // the chunk's share and, via the spare pool, across batches — the
@@ -82,17 +93,20 @@ std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
       } catch (...) {
         solo.reset();  // scratch state unknown after the throw
         results[i] = common::AlignmentResult{};  // ok == false
+        if (failed != nullptr) (*failed)[i] = 1;
         task_failures_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (solo) releaseAligner(std::move(solo));
-  });
+  }, kMinChunkTasks);
   return results;
 }
 
 std::vector<int> AlignmentEngine::distanceBatch(
-    const std::vector<DistanceTask>& tasks) {
+    const std::vector<DistanceTask>& tasks,
+    std::vector<unsigned char>* failed) {
   std::vector<int> results(tasks.size(), -1);
+  if (failed != nullptr) failed->assign(tasks.size(), 0);
   pool_.parallel_for(tasks.size(), [&](std::size_t begin, std::size_t end) {
     {
       AlignerLease aligner(*this);
@@ -117,11 +131,12 @@ std::vector<int> AlignmentEngine::distanceBatch(
       } catch (...) {
         solo.reset();
         results[i] = -1;
+        if (failed != nullptr) (*failed)[i] = 1;
         task_failures_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (solo) releaseAligner(std::move(solo));
-  });
+  }, kMinChunkTasks);
   return results;
 }
 

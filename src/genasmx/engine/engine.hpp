@@ -61,9 +61,12 @@ class AlignmentEngine {
   /// backends with a lane-parallel kernel (the GenASM family) pack the
   /// chunk's tasks into SIMD lane batches — results stay bit-identical
   /// to the per-task scalar loop by contract. The viewed storage must
-  /// outlive the call.
+  /// outlive the call. If `failed` is non-null it is resized to
+  /// tasks.size() and (*failed)[i] is set to 1 iff task i failed even in
+  /// single-task isolation (see taskFailures()).
   [[nodiscard]] std::vector<common::AlignmentResult> alignBatch(
-      const std::vector<AlignmentTask>& tasks);
+      const std::vector<AlignmentTask>& tasks,
+      std::vector<unsigned char>* failed = nullptr);
 
   /// Owning-pair convenience overload (same semantics).
   [[nodiscard]] std::vector<common::AlignmentResult> alignBatch(
@@ -71,18 +74,19 @@ class AlignmentEngine {
 
   /// Distance-score every task; results[i] is the edit distance of
   /// tasks[i] (or -1: no alignment, or above tasks[i].cap). Deterministic
-  /// like alignBatch; the traceback-free fast path of the two-phase
-  /// mapping flow. Each worker hands its whole contiguous chunk to
+  /// like alignBatch; the traceback-free fast path of primary-only
+  /// mapping. Each worker hands its whole contiguous chunk to
   /// Aligner::distanceBatch, so backends with a lane-parallel kernel
   /// (the GenASM family) pack the chunk's tasks into SIMD lane batches —
   /// results stay identical to the per-task scalar loop by contract.
+  /// `failed` as for alignBatch (a failed task's result is -1).
   [[nodiscard]] std::vector<int> distanceBatch(
-      const std::vector<DistanceTask>& tasks);
+      const std::vector<DistanceTask>& tasks,
+      std::vector<unsigned char>* failed = nullptr);
 
   /// RAII checkout of a worker aligner from the spare pool. Callers that
-  /// run their own loops on the engine's pool (pipeline candidate
-  /// scoring) hold one lease per chunk so solver scratch is reused
-  /// without a pool round-trip per problem.
+  /// run their own loops on the engine's pool hold one lease per chunk so
+  /// solver scratch is reused without a pool round-trip per problem.
   class AlignerLease {
    public:
     explicit AlignerLease(AlignmentEngine& engine)

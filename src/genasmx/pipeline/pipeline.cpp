@@ -25,25 +25,6 @@ mapper::Mapper buildMapperTimed(refmodel::Reference ref,
   return m;
 }
 
-/// Per-read working state for one batch. Slots are written only by the
-/// worker that owns the read, so the parallel fan-out stays race-free
-/// and thread-count independent.
-struct ReadWork {
-  std::vector<mapper::Candidate> cands;
-  std::string rc;  ///< reverse complement, filled iff a candidate needs it
-  /// The read's minimizers, captured from the seeding scan so the sketch
-  /// prefilter never rescans the read. Canonical keys are strand-
-  /// symmetric, so one set serves forward and reverse candidates alike.
-  std::vector<mapper::Minimizer> mins;
-};
-
-/// Per-chunk prefilter accounting, folded into the pipeline's totals
-/// under the sketch-pool mutex when the chunk releases its worker.
-struct PrefilterLocal {
-  PrefilterStats stats;
-  double seconds = 0;
-};
-
 /// minimap2-style confidence from best (s1) vs second-best (s2)
 /// alignment quality: full cap when the runner-up is far behind, 0 when
 /// the top two candidates are indistinguishable.
@@ -72,11 +53,10 @@ int computeMapqFromDistances(int d1, int d2, int cap) {
                     0, cap);
 }
 
-/// Best / second-best tracking over candidates in chain order. The same
-/// update rule runs in both the two-phase (capped distances) and the
-/// single-phase (edits from full CIGARs) primary-only flows, so the two
-/// flows pick identical winners and MAPQs by construction: a candidate
-/// whose distance exceeds the running second-best can change neither.
+/// Best / second-best tracking over candidates in chain order. Folding
+/// capped distances gives the same winner and MAPQ as folding every
+/// candidate's uncapped edit distance: a candidate whose distance
+/// exceeds the running second-best can change neither.
 struct Pick {
   int cand = -1;  ///< winning candidate index (chain order), -1 = none
   int d1 = -1;    ///< winner's edit distance
@@ -95,9 +75,11 @@ struct Pick {
   /// Largest distance that could still change the emitted record. A
   /// candidate must beat the winner (>= d1 matters for the tie that
   /// zeroes MAPQ), and as a runner-up it only matters below the MAPQ
-  /// saturation point min(d2, 2*d1) — beyond that both flows emit the
+  /// saturation point min(d2, 2*d1) — beyond that the record carries the
   /// full cap either way, so the capped scorer may return -1 without
-  /// affecting byte-identity with the uncapped single-phase flow.
+  /// changing what an uncapped scorer would emit. Caps only tighten as
+  /// candidates fold in, so a cap frozen after the chain-best alignment
+  /// is >= every later dynamic cap and emits the identical record too.
   [[nodiscard]] int scoreCap() const {
     if (cand < 0) return -1;
     long long c = 2LL * d1;
@@ -116,6 +98,42 @@ PipelineStats operator-(const PipelineStats& a, const PipelineStats& b) {
   d.candidates = a.candidates - b.candidates;
   d.records = a.records - b.records;
   return d;
+}
+
+/// Per-read working state for one batch. During the parallel seeding
+/// stage a slot is written only by the worker that owns the read, so the
+/// fan-out stays race-free and thread-count independent; every later
+/// stage runs on the calling thread or inside the engine's batches.
+struct ReadWork {
+  std::vector<mapper::Candidate> cands;
+  std::string rc;  ///< reverse complement, filled iff a candidate needs it
+  /// The read's minimizers, captured from the seeding scan so the sketch
+  /// prefilter never rescans the read. Canonical keys are strand-
+  /// symmetric, so one set serves forward and reverse candidates alike.
+  std::vector<mapper::Minimizer> mins;
+  unsigned char failed = 0;  ///< 1 = degraded after a per-read failure
+  common::Status status;     ///< why, when the failure carried a status
+  Pick pick;                 ///< primary-only: winner + runner-up
+  /// Primary-only: the winner's traceback alignment (the chain-best
+  /// candidate's until phase 2 replaces it).
+  common::AlignmentResult best;
+
+  /// Drop every score and mark the read failed; it emits its chain-only
+  /// record (or nothing, if seeding itself failed).
+  void degrade(common::Status why) {
+    pick = Pick{};
+    best = common::AlignmentResult{};
+    status = std::move(why);
+    failed = 1;
+  }
+};
+
+/// Status of a read whose engine task failed even in isolation (the
+/// engine swallows the backend's exception and reports the task).
+common::Status taskFailure() {
+  return common::Status(common::ErrorCode::kInternal,
+                        "candidate alignment failed in isolation; emitted "
+                        "chain-only record");
 }
 
 /// Shared PAF-record construction for both flows. Target name, length,
@@ -277,11 +295,32 @@ void MappingPipeline::buildPrefilterTable() {
   times_.index_build_s += t.seconds();
 }
 
-MappingPipeline::MappingPipeline(std::string target_name, std::string genome,
-                                 PipelineConfig cfg)
-    : MappingPipeline(
-          refmodel::Reference(std::move(target_name), std::move(genome)),
-          std::move(cfg)) {}
+struct MappingPipeline::BatchWork {
+  BatchWork(const std::vector<io::FastxRecord>& r, const Cancellation& c,
+            BatchOutputMap* m, const refmodel::Reference& ref,
+            PipelineStats& stats)
+      : reads(r), cancel(c), outmap(m), work(r.size()),
+        builder{ref, stats, out} {}
+
+  const std::vector<io::FastxRecord>& reads;
+  const Cancellation& cancel;
+  BatchOutputMap* outmap;
+  std::vector<ReadWork> work;
+  /// Secondary-emitting flow: every read's candidate results, flattened;
+  /// read i's occupy [offset[i], offset[i+1]).
+  std::vector<std::size_t> offset;
+  std::vector<common::AlignmentResult> results;
+  std::vector<io::PafRecord> out;
+  RecordBuilder builder;
+
+  /// Oriented query text of read i for a candidate (a view into the read
+  /// or its cached reverse complement).
+  [[nodiscard]] std::string_view query(std::size_t i,
+                                       const mapper::Candidate& c) const {
+    return c.reverse ? std::string_view(work[i].rc)
+                     : std::string_view(reads[i].seq);
+  }
+};
 
 std::vector<io::PafRecord> MappingPipeline::mapBatch(
     const std::vector<io::FastxRecord>& reads) {
@@ -291,534 +330,257 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
 std::vector<io::PafRecord> MappingPipeline::mapBatch(
     const std::vector<io::FastxRecord>& reads, const Cancellation& cancel,
     BatchOutputMap* outmap) {
-  // Stage 1 — candidate generation, fanned out on the engine's pool.
+  BatchWork b(reads, cancel, outmap, mapper_.reference(), stats_);
+  seed(b);
+  cancel.check();
+  if (cfg_.emit_secondary) {
+    scoreAll(b);
+    emitAll(b);
+  } else {
+    scorePrimary(b);
+    emitPrimary(b);
+  }
+  return std::move(b.out);
+}
+
+void MappingPipeline::seed(BatchWork& b) {
   // Each read is isolated: a throw poisons that read alone (it degrades
-  // to unmapped), never the batch. failed[i]/read_status[i] are written
-  // only by the worker that owns read i, then folded serially at
-  // emission, so the accounting is deterministic at any thread count.
-  util::Timer stage_timer;
-  std::vector<ReadWork> work(reads.size());
-  std::vector<unsigned char> failed(reads.size(), 0);
-  std::vector<common::Status> read_status(reads.size());
+  // to unmapped), never the batch.
+  util::Timer t;
   engine_->pool().parallel_for(
-      reads.size(), [&](std::size_t begin, std::size_t end) {
+      b.reads.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
+          ReadWork& w = b.work[i];
           try {
-            auto cands = mapper_.map(reads[i].seq, work[i].mins);
+            auto cands = mapper_.map(b.reads[i].seq, w.mins);
             if (cands.size() > cfg_.max_candidates) {
               cands.resize(cfg_.max_candidates);
             }
             const bool any_reverse = std::any_of(
                 cands.begin(), cands.end(),
                 [](const mapper::Candidate& c) { return c.reverse; });
-            if (any_reverse) {
-              work[i].rc = common::reverseComplement(reads[i].seq);
-            }
-            work[i].cands = std::move(cands);
+            if (any_reverse) w.rc = common::reverseComplement(b.reads[i].seq);
+            w.cands = std::move(cands);
           } catch (...) {
-            work[i].cands.clear();
-            work[i].rc.clear();
-            work[i].mins.clear();
-            read_status[i] = common::Status::fromCurrentException();
-            failed[i] = 1;
+            w.cands.clear();
+            w.rc.clear();
+            w.mins.clear();
+            w.degrade(common::Status::fromCurrentException());
           }
         }
       });
-  times_.seed_chain_s += stage_timer.seconds();
-  cancel.check();
+  times_.seed_chain_s += t.seconds();
+}
 
-  const auto targetView = [&](const mapper::Candidate& c) {
-    return mapper_.candidateText(c);  // view into the reference backing
-  };
-  const auto queryView = [&](std::size_t i, const mapper::Candidate& c) {
-    return c.reverse ? std::string_view(work[i].rc)
-                     : std::string_view(reads[i].seq);
-  };
-
-  // ---- sketch prefilter (phase 1, two-phase primary-only flow only) ----
-  // After the chain-best alignment freezes a read's score cap, the read's
-  // sketch (built from the minimizers the seeding scan already extracted)
-  // is calibrated against the chain-best window's sketch; a non-best
-  // candidate below keep_ratio of that calibration is dropped before it
-  // reaches the distance kernels. Decisions depend only on sequences and
-  // the frozen cap's existence, so batched/scalar scoring and the
-  // isolation-rerun path all drop the same candidates.
-  const bool prefilter_on =
-      cfg_.prefilter.mode == PrefilterMode::kSketch && !cfg_.emit_secondary &&
-      cfg_.two_phase;
-  const sketch::SketchParams& sketch_params = cfg_.prefilter.sketch;
-  const int sketch_k = mapper_.config().k;
-
-  // Sketch a candidate window straight from the position-sorted index
-  // table: binary-search the window's global k-mer-start range and minhash
-  // the contiguous key subrange — no sequence is touched. Table entries
-  // are the reference's *globally* extracted, occurrence-capped
-  // minimizers, so interior picks match a local window scan (minimizer
-  // locality) while ~(w+k) bp of edge effects and repeat masking apply to
-  // the chain-best and non-best windows alike — the relative keep_ratio
-  // test compares like with like.
-  const auto sketchCandidateWindow = [&](const mapper::Candidate& cand,
-                                         SketchWorker& wkr) {
-    const auto& contig = mapper_.reference().contig(cand.contig);
-    const std::uint64_t gb = contig.offset + cand.ref_begin;
-    const std::uint64_t ge = contig.offset + cand.ref_end;
-    const auto lo_pos = static_cast<std::uint32_t>(gb);
-    // Last k-mer fully inside the window starts at ge - k.
-    const auto hi_pos = static_cast<std::uint32_t>(
-        ge >= gb + static_cast<std::uint64_t>(sketch_k)
-            ? ge - static_cast<std::uint64_t>(sketch_k) + 1
-            : gb);
-    const auto first =
-        std::lower_bound(pf_positions_.begin(), pf_positions_.end(), lo_pos);
-    const auto last = std::lower_bound(first, pf_positions_.end(), hi_pos);
-    const auto off = static_cast<std::size_t>(first - pf_positions_.begin());
-    sketch::sketchKeys(pf_keys_.data() + off,
-                       static_cast<std::size_t>(last - first), sketch_params,
-                       wkr.scratch, wkr.window_sketch);
-  };
-
-  // Lease a per-chunk sketch worker from the spare pool (allocates only
-  // until the pool has one worker per pool thread).
-  const auto leaseSketchWorker = [&]() -> std::unique_ptr<SketchWorker> {
-    if (!prefilter_on) return nullptr;
-    {
-      std::lock_guard<std::mutex> lock(sketch_mu_);
-      if (!sketch_spares_.empty()) {
-        auto w = std::move(sketch_spares_.back());
-        sketch_spares_.pop_back();
-        return w;
-      }
+void MappingPipeline::scorePrimary(BatchWork& b) {
+  // Phase 1. Ranking and MAPQ come from edit distances (chain order
+  // breaks ties), so no candidate but the winner ever needs a CIGAR. The
+  // chain-best candidate — the winner for almost every read — is aligned
+  // once in one engine batch and its result kept; each read's cap is
+  // then frozen, and every further candidate is distance-scored in one
+  // engine batch, so a candidate provably unable to change the emitted
+  // record aborts its window march as soon as its edits blow the cap.
+  // Engine batches isolate a throwing task to its own slot; a read with
+  // a failed task degrades to its chain-only record.
+  util::Timer t;
+  std::vector<engine::AlignmentTask> best_tasks;
+  std::vector<std::size_t> best_reads;
+  for (std::size_t i = 0; i < b.reads.size(); ++i) {
+    if (b.work[i].cands.empty()) continue;
+    const auto& cand = b.work[i].cands[0];
+    best_tasks.push_back({mapper_.candidateText(cand), b.query(i, cand)});
+    best_reads.push_back(i);
+  }
+  std::vector<unsigned char> task_failed;
+  auto best = engine_->alignBatch(best_tasks, &task_failed);
+  for (std::size_t k = 0; k < best_reads.size(); ++k) {
+    ReadWork& w = b.work[best_reads[k]];
+    if (task_failed[k] != 0) {
+      w.degrade(taskFailure());
+      continue;
     }
-    return std::make_unique<SketchWorker>();
-  };
-  const auto releaseSketchWorker = [&](std::unique_ptr<SketchWorker> w,
-                                       std::uint64_t grow_before,
-                                       std::uint64_t scans_before,
-                                       const PrefilterLocal& local) {
-    if (!w) return;
-    std::lock_guard<std::mutex> lock(sketch_mu_);
-    prefilter_stats_.reads_sketched += local.stats.reads_sketched;
-    prefilter_stats_.windows_sketched += local.stats.windows_sketched;
-    prefilter_stats_.candidates_seen += local.stats.candidates_seen;
-    prefilter_stats_.candidates_filtered += local.stats.candidates_filtered;
-    prefilter_stats_.sequence_scans +=
-        w->scratch.sequenceScans() - scans_before;
-    prefilter_stats_.scratch_grow_events +=
-        w->scratch.growEvents() - grow_before;
-    times_.sketch_s += local.seconds;
-    sketch_spares_.push_back(std::move(w));
-  };
-
-  // Similarity threshold below which read i's non-best candidates are
-  // dropped; < 0 disables filtering for this read (no frozen cap, too few
-  // minimizers, or a signal-free chain-best calibration).
-  const auto prefilterThreshold = [&](std::size_t i, int cap,
-                                      SketchWorker& wkr,
-                                      PrefilterLocal& local) -> double {
-    if (cap < 0) return -1.0;
-    if (work[i].mins.size() < cfg_.prefilter.min_minimizers) return -1.0;
-    util::Timer t;
-    sketch::sketchMinimizers(work[i].mins.data(), work[i].mins.size(),
-                             sketch_params, wkr.scratch, wkr.read_sketch);
-    sketchCandidateWindow(work[i].cands[0], wkr);
-    const double best_est =
-        sketch::estimateSimilarity(wkr.read_sketch, wkr.window_sketch);
-    local.seconds += t.seconds();
-    ++local.stats.reads_sketched;
-    ++local.stats.windows_sketched;
-    if (best_est < cfg_.prefilter.min_best_similarity) return -1.0;
-    return cfg_.prefilter.keep_ratio * best_est;
-  };
-  const auto prefilterDrop = [&](const mapper::Candidate& cand, double thr,
-                                 SketchWorker& wkr,
-                                 PrefilterLocal& local) -> bool {
-    if (thr < 0) return false;
-    util::Timer t;
-    sketchCandidateWindow(cand, wkr);
-    const double est =
-        sketch::estimateSimilarity(wkr.read_sketch, wkr.window_sketch);
-    local.seconds += t.seconds();
-    ++local.stats.windows_sketched;
-    if (est >= thr) return false;
-    ++local.stats.candidates_filtered;
-    return true;
-  };
-
-  std::vector<io::PafRecord> out;
-  RecordBuilder builder{mapper_.reference(), stats_, out};
-
-  // Per-read record counts for callers that split the batch back into
-  // requests; called exactly once per read, in input order.
-  const auto noteRead = [&](std::size_t i, std::size_t out_before) {
-    if (outmap == nullptr) return;
-    outmap->records_per_read.push_back(
-        static_cast<std::uint32_t>(out.size() - out_before));
-    outmap->read_failed.push_back(failed[i]);
-  };
-
-  // Fold per-read failure flags into the report during the serial
-  // emission walk (input order -> deterministic first_error).
-  const auto tallyFailure = [&](std::size_t i) {
-    if (failed[i] == 0) return;
-    ++report_.failed_reads;
-    report_.errors.add(read_status[i].ok() ? common::ErrorCode::kInternal
-                                           : read_status[i].code());
-    if (report_.first_error.ok() && !read_status[i].ok()) {
-      report_.first_error = read_status[i];
+    w.best = std::move(best[k]);
+    if (w.best.ok) {
+      w.pick.update(0, static_cast<int>(w.best.cigar.editDistance()));
     }
-  };
-
-  // A read emitted chain-only because its alignment tasks faulted (the
-  // engine degrades a throwing lane to ok == false; a healthy backend
-  // always produces a result) is a per-read failure too — flag it at
-  // the emission site, after the loop-top tallyFailure already ran.
-  const auto tallyAlignmentFailure = [&](std::size_t i) {
-    if (failed[i] != 0) return;
-    failed[i] = 1;
-    read_status[i] = common::Status(
-        common::ErrorCode::kInternal,
-        "candidate alignments failed; emitted chain-only record");
-    tallyFailure(i);
-  };
-
-  if (!cfg_.emit_secondary) {
-    // ------------------------------------------- primary-only flow
-    // Ranking and MAPQ come from edit distances (chain order breaks
-    // ties), so phase 1 never needs a CIGAR and only the winner is ever
-    // traceback-aligned.
-    std::vector<Pick> picks(reads.size());
-    std::vector<common::AlignmentResult> aligned;
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> widx(reads.size(), kNone);
-
-    if (cfg_.two_phase) {
-      // Phase 1 — parallel over reads. The chain-best candidate (the
-      // winner for almost every read) is fully aligned once and its
-      // result cached; every further candidate is distance-scored in
-      // chain order with Pick::scoreCap() as the cap, so a candidate
-      // provably unable to change the emitted record aborts its window
-      // march as soon as its committed edits blow the cap.
-      //
-      // In batched mode the per-read cap is frozen after the chain-best
-      // alignment and every remaining candidate of the worker's chunk is
-      // scored through one Aligner::distanceBatch call, packing the
-      // problems into the backend's SIMD lanes. The frozen cap is >= the
-      // sequential flow's dynamic cap at every candidate (caps only
-      // tighten), and every cap above the dynamic one yields the same
-      // emitted record (Pick::scoreCap's saturation argument), so the
-      // two modes — and any thread count — stay byte-identical.
-      stage_timer.reset();
-      std::vector<common::AlignmentResult> chain_best(reads.size());
-      engine_->pool().parallel_for(
-          reads.size(), [&](std::size_t begin, std::size_t end) {
-            bool chunk_ok = true;
-            auto sketch_worker = leaseSketchWorker();
-            const std::uint64_t sketch_grow_before =
-                sketch_worker ? sketch_worker->scratch.growEvents() : 0;
-            const std::uint64_t sketch_scans_before =
-                sketch_worker ? sketch_worker->scratch.sequenceScans() : 0;
-            PrefilterLocal prefilter_local;
-            {
-              engine::AlignmentEngine::AlignerLease aligner(*engine_);
-              try {
-                if (cfg_.batched_distance) {
-                  // Chain-best alignments for the whole chunk through one
-                  // batched call, so the winners' tracebacks also run in
-                  // SIMD lanes (alignBatch == per-task align by contract).
-                  std::vector<engine::AlignmentTask> best_tasks;
-                  std::vector<std::size_t> best_reads;
-                  for (std::size_t i = begin; i < end; ++i) {
-                    if (work[i].cands.empty()) continue;
-                    const auto& cand = work[i].cands[0];
-                    best_tasks.push_back(
-                        {targetView(cand), queryView(i, cand)});
-                    best_reads.push_back(i);
-                  }
-                  std::vector<common::AlignmentResult> best(best_tasks.size());
-                  aligner->alignBatch(best_tasks.data(), best_tasks.size(),
-                                      best.data());
-                  for (std::size_t k = 0; k < best_reads.size(); ++k) {
-                    const std::size_t i = best_reads[k];
-                    chain_best[i] = std::move(best[k]);
-                    if (chain_best[i].ok) {
-                      picks[i].update(
-                          0,
-                          static_cast<int>(chain_best[i].cigar.editDistance()));
-                    }
-                  }
-                  std::size_t task_count = 0;
-                  for (std::size_t i = begin; i < end; ++i) {
-                    if (work[i].cands.size() > 1) {
-                      task_count += work[i].cands.size() - 1;
-                    }
-                  }
-                  std::vector<engine::DistanceTask> tasks;
-                  std::vector<std::pair<std::size_t, std::size_t>> task_cand;
-                  tasks.reserve(task_count);
-                  task_cand.reserve(task_count);
-                  for (std::size_t i = begin; i < end; ++i) {
-                    const auto& cands = work[i].cands;
-                    const int cap = picks[i].scoreCap();
-                    double thr = -1.0;
-                    if (sketch_worker && cands.size() > 1) {
-                      thr = prefilterThreshold(i, cap, *sketch_worker,
-                                               prefilter_local);
-                    }
-                    for (std::size_t c = 1; c < cands.size(); ++c) {
-                      if (sketch_worker) {
-                        ++prefilter_local.stats.candidates_seen;
-                        if (prefilterDrop(cands[c], thr, *sketch_worker,
-                                          prefilter_local)) {
-                          continue;
-                        }
-                      }
-                      tasks.push_back(
-                          {targetView(cands[c]), queryView(i, cands[c]), cap});
-                      task_cand.emplace_back(i, c);
-                    }
-                  }
-                  std::vector<int> ds(tasks.size(), -1);
-                  aligner->distanceBatch(tasks.data(), tasks.size(),
-                                         ds.data());
-                  // Fold in chain order (tasks were emitted in chain
-                  // order).
-                  for (std::size_t k = 0; k < tasks.size(); ++k) {
-                    if (ds[k] >= 0) {
-                      picks[task_cand[k].first].update(
-                          static_cast<int>(task_cand[k].second), ds[k]);
-                    }
-                  }
-                } else {
-                  for (std::size_t i = begin; i < end; ++i) {
-                    Pick& p = picks[i];
-                    const auto& cands = work[i].cands;
-                    double thr = -1.0;
-                    for (std::size_t c = 0; c < cands.size(); ++c) {
-                      const auto target = targetView(cands[c]);
-                      const auto query = queryView(i, cands[c]);
-                      if (c == 0) {
-                        chain_best[i] = aligner->align(target, query);
-                        if (chain_best[i].ok) {
-                          p.update(0,
-                                   static_cast<int>(
-                                       chain_best[i].cigar.editDistance()));
-                        }
-                        // Filter decisions use the cap as frozen right
-                        // here — the same cap the batched mode uses — so
-                        // both modes drop identical candidates.
-                        if (sketch_worker && cands.size() > 1) {
-                          thr = prefilterThreshold(i, p.scoreCap(),
-                                                   *sketch_worker,
-                                                   prefilter_local);
-                        }
-                        continue;
-                      }
-                      if (sketch_worker) {
-                        ++prefilter_local.stats.candidates_seen;
-                        if (prefilterDrop(cands[c], thr, *sketch_worker,
-                                          prefilter_local)) {
-                          continue;
-                        }
-                      }
-                      const int d =
-                          aligner->distance(target, query, p.scoreCap());
-                      if (d >= 0) p.update(static_cast<int>(c), d);
-                    }
-                  }
-                }
-              } catch (...) {
-                // The chunk's batched scoring died mid-flight: partial
-                // picks and a torn aligner. Drop the aligner and redo
-                // this chunk one read at a time below.
-                aligner.poison();
-                chunk_ok = false;
-              }
-            }
-            if (!chunk_ok) {
-              // Isolation rerun: per-read scalar scoring through the
-              // engine's single-pair entry points (which construct fresh
-              // aligners and never recycle one that threw). The dynamic
-              // scalar cap and the frozen batched cap emit identical
-              // records (Pick::scoreCap's saturation argument), and the
-              // sketch filter is a pure function of the sequences, so a
-              // recovered read is byte-identical to a never-failed one. A
-              // read that still throws degrades to its chain-only record.
-              for (std::size_t i = begin; i < end; ++i) {
-                picks[i] = Pick{};
-                chain_best[i] = common::AlignmentResult{};
-                const auto& cands = work[i].cands;
-                try {
-                  Pick& p = picks[i];
-                  double thr = -1.0;
-                  for (std::size_t c = 0; c < cands.size(); ++c) {
-                    const auto target = targetView(cands[c]);
-                    const auto query = queryView(i, cands[c]);
-                    if (c == 0) {
-                      chain_best[i] = engine_->align(target, query);
-                      if (chain_best[i].ok) {
-                        p.update(0, static_cast<int>(
-                                        chain_best[i].cigar.editDistance()));
-                      }
-                      if (sketch_worker && cands.size() > 1) {
-                        thr = prefilterThreshold(i, p.scoreCap(),
-                                                 *sketch_worker,
-                                                 prefilter_local);
-                      }
-                      continue;
-                    }
-                    if (sketch_worker) {
-                      ++prefilter_local.stats.candidates_seen;
-                      if (prefilterDrop(cands[c], thr, *sketch_worker,
-                                        prefilter_local)) {
-                        continue;
-                      }
-                    }
-                    const int d =
-                        engine_->distance(target, query, p.scoreCap());
-                    if (d >= 0) p.update(static_cast<int>(c), d);
-                  }
-                } catch (...) {
-                  picks[i] = Pick{};
-                  chain_best[i] = common::AlignmentResult{};
-                  read_status[i] = common::Status::fromCurrentException();
-                  failed[i] = 1;
-                }
-              }
-            }
-            releaseSketchWorker(std::move(sketch_worker), sketch_grow_before,
-                                sketch_scans_before, prefilter_local);
-          });
-      times_.phase1_distance_s += stage_timer.seconds();
-      cancel.check();
-      // Phase 2 — a traceback alignment only for winners that are not
-      // the cached chain-best candidate.
-      stage_timer.reset();
-      std::vector<engine::AlignmentTask> winner_tasks;
-      std::vector<std::size_t> winner_reads;
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        if (picks[i].cand <= 0) continue;  // none, or cached chain-best
-        const auto& cand = work[i].cands[static_cast<std::size_t>(
-            picks[i].cand)];
-        winner_reads.push_back(i);
-        winner_tasks.push_back({targetView(cand), queryView(i, cand)});
-      }
-      aligned = engine_->alignBatch(winner_tasks);
-      times_.traceback_s += stage_timer.seconds();
-      cancel.check();
-      // Fold: cached chain-best winners append after the batch results.
-      for (std::size_t k = 0; k < winner_reads.size(); ++k) {
-        widx[winner_reads[k]] = k;
-      }
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        if (picks[i].cand == 0) {
-          widx[i] = aligned.size();
-          aligned.push_back(std::move(chain_best[i]));
-        }
-      }
-    } else {
-      // Single-phase comparator: full-align every candidate, then score
-      // by the same edit-distance rule. Byte-identical output to the
-      // two-phase flow (tests pin this).
-      stage_timer.reset();
-      std::vector<std::size_t> offset(reads.size() + 1, 0);
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        offset[i + 1] = offset[i] + work[i].cands.size();
-      }
-      std::vector<engine::AlignmentTask> tasks;
-      tasks.reserve(offset.back());
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        for (const auto& c : work[i].cands) {
-          tasks.push_back({targetView(c), queryView(i, c)});
-        }
-      }
-      aligned = engine_->alignBatch(tasks);
-      times_.traceback_s += stage_timer.seconds();
-      cancel.check();
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        for (std::size_t c = 0; c < work[i].cands.size(); ++c) {
-          const auto& res = aligned[offset[i] + c];
-          if (!res.ok) continue;
-          picks[i].update(static_cast<int>(c),
-                          static_cast<int>(res.cigar.editDistance()));
-        }
-        if (picks[i].cand >= 0) {
-          widx[i] = offset[i] + static_cast<std::size_t>(picks[i].cand);
-        }
-      }
-    }
-
-    // Stage 3 — serial emission in input order.
-    stage_timer.reset();
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      const auto& cands = work[i].cands;
-      const std::size_t out_before = out.size();
-      ++stats_.reads;
-      tallyFailure(i);
-      if (cands.empty()) {
-        ++stats_.unmapped_reads;
-        noteRead(i, out_before);
-        continue;
-      }
-      stats_.candidates += cands.size();
-      const Pick& p = picks[i];
-      if (p.cand < 0) {
-        builder.emitChainOnly(reads[i], cands[0]);
-      } else {
-        const auto& res = aligned[widx[i]];
-        const auto& cand = cands[static_cast<std::size_t>(p.cand)];
-        if (res.ok) {
-          builder.emitAligned(reads[i], cand, res,
-                              computeMapqFromDistances(p.d1, p.d2,
-                                                       cfg_.mapq_cap));
-        } else {
-          tallyAlignmentFailure(i);
-          builder.emitChainOnly(reads[i], cand);
-        }
-      }
-      ++stats_.mapped_reads;
-      noteRead(i, out_before);
-    }
-    times_.output_s += stage_timer.seconds();
-    return out;
   }
 
-  // ------------------------------------- secondary-emitting flow
+  // Plan on the calling thread: freeze caps, run the sketch prefilter,
+  // and collect the distance tasks. A throw (sketch scratch growth)
+  // costs only its own read.
+  util::Timer plan_timer;
+  const std::uint64_t grow_before = sketch_.scratch.growEvents();
+  const std::uint64_t scans_before = sketch_.scratch.sequenceScans();
+  std::vector<engine::DistanceTask> tasks;
+  std::vector<std::pair<std::size_t, std::size_t>> task_cand;
+  for (std::size_t i = 0; i < b.reads.size(); ++i) {
+    if (b.work[i].failed != 0 || b.work[i].cands.size() < 2) continue;
+    const std::size_t mark = tasks.size();
+    try {
+      planRead(b, i, tasks, task_cand);
+    } catch (...) {
+      tasks.resize(mark);
+      task_cand.resize(mark);
+      b.work[i].degrade(common::Status::fromCurrentException());
+    }
+  }
+  if (cfg_.prefilter.mode == PrefilterMode::kSketch) {
+    prefilter_stats_.sequence_scans +=
+        sketch_.scratch.sequenceScans() - scans_before;
+    prefilter_stats_.scratch_grow_events +=
+        sketch_.scratch.growEvents() - grow_before;
+    times_.sketch_s += plan_timer.seconds();
+  }
+
+  const auto ds = engine_->distanceBatch(tasks, &task_failed);
+  // Fold in chain order (tasks were planned in chain order).
+  for (std::size_t k = 0; k < tasks.size(); ++k) {
+    ReadWork& w = b.work[task_cand[k].first];
+    if (w.failed != 0) continue;
+    if (task_failed[k] != 0) {
+      w.degrade(taskFailure());
+    } else if (ds[k] >= 0) {
+      w.pick.update(static_cast<int>(task_cand[k].second), ds[k]);
+    }
+  }
+  times_.phase1_distance_s += t.seconds();
+  b.cancel.check();
+
+  // Phase 2 — a traceback alignment only for winners that are not the
+  // chain-best candidate.
+  t.reset();
+  std::vector<engine::AlignmentTask> winner_tasks;
+  std::vector<std::size_t> winner_reads;
+  for (std::size_t i = 0; i < b.reads.size(); ++i) {
+    const ReadWork& w = b.work[i];
+    if (w.pick.cand <= 0) continue;  // none, or the kept chain-best
+    const auto& cand = w.cands[static_cast<std::size_t>(w.pick.cand)];
+    winner_tasks.push_back({mapper_.candidateText(cand), b.query(i, cand)});
+    winner_reads.push_back(i);
+  }
+  auto winners = engine_->alignBatch(winner_tasks);
+  for (std::size_t k = 0; k < winner_reads.size(); ++k) {
+    b.work[winner_reads[k]].best = std::move(winners[k]);
+  }
+  times_.traceback_s += t.seconds();
+  b.cancel.check();
+}
+
+void MappingPipeline::planRead(
+    BatchWork& b, std::size_t i, std::vector<engine::DistanceTask>& tasks,
+    std::vector<std::pair<std::size_t, std::size_t>>& task_cand) {
+  // The sketch prefilter calibrates the read's sketch (built from the
+  // minimizers the seeding scan already extracted) against the chain-best
+  // window's, and drops a non-best candidate below keep_ratio of that
+  // calibration before it reaches the distance kernels. Decisions depend
+  // only on sequences and the frozen cap's existence.
+  const ReadWork& w = b.work[i];
+  const PrefilterConfig& pf = cfg_.prefilter;
+  const bool prefilter_on = pf.mode == PrefilterMode::kSketch;
+  const int cap = w.pick.scoreCap();
+  // Similarity below which a candidate is dropped; < 0 filters nothing
+  // (no frozen cap, too few minimizers, or a signal-free calibration).
+  double thr = -1.0;
+  if (prefilter_on && cap >= 0 && w.mins.size() >= pf.min_minimizers) {
+    sketch::sketchMinimizers(w.mins.data(), w.mins.size(), pf.sketch,
+                             sketch_.scratch, sketch_.read_sketch);
+    sketchWindow(w.cands[0]);
+    const double best_est = sketch::estimateSimilarity(sketch_.read_sketch,
+                                                       sketch_.window_sketch);
+    ++prefilter_stats_.reads_sketched;
+    ++prefilter_stats_.windows_sketched;
+    if (best_est >= pf.min_best_similarity) thr = pf.keep_ratio * best_est;
+  }
+  for (std::size_t c = 1; c < w.cands.size(); ++c) {
+    if (prefilter_on) {
+      ++prefilter_stats_.candidates_seen;
+      if (thr >= 0) {
+        sketchWindow(w.cands[c]);
+        ++prefilter_stats_.windows_sketched;
+        if (sketch::estimateSimilarity(sketch_.read_sketch,
+                                       sketch_.window_sketch) < thr) {
+          ++prefilter_stats_.candidates_filtered;
+          continue;
+        }
+      }
+    }
+    tasks.push_back(
+        {mapper_.candidateText(w.cands[c]), b.query(i, w.cands[c]), cap});
+    task_cand.emplace_back(i, c);
+  }
+}
+
+void MappingPipeline::sketchWindow(const mapper::Candidate& cand) {
+  // Binary-search the window's global k-mer-start range in the
+  // position-sorted index table and minhash the contiguous key subrange —
+  // no sequence is touched. Table entries are the reference's *globally*
+  // extracted, occurrence-capped minimizers, so interior picks match a
+  // local window scan (minimizer locality) while ~(w+k) bp of edge effects
+  // and repeat masking apply to the chain-best and non-best windows alike
+  // — the relative keep_ratio test compares like with like.
+  const auto k = static_cast<std::uint64_t>(mapper_.config().k);
+  const auto& contig = mapper_.reference().contig(cand.contig);
+  const std::uint64_t gb = contig.offset + cand.ref_begin;
+  const std::uint64_t ge = contig.offset + cand.ref_end;
+  const auto lo_pos = static_cast<std::uint32_t>(gb);
+  // Last k-mer fully inside the window starts at ge - k.
+  const auto hi_pos =
+      static_cast<std::uint32_t>(ge >= gb + k ? ge - k + 1 : gb);
+  const auto first =
+      std::lower_bound(pf_positions_.begin(), pf_positions_.end(), lo_pos);
+  const auto last = std::lower_bound(first, pf_positions_.end(), hi_pos);
+  const auto off = static_cast<std::size_t>(first - pf_positions_.begin());
+  sketch::sketchKeys(pf_keys_.data() + off,
+                     static_cast<std::size_t>(last - first),
+                     cfg_.prefilter.sketch, sketch_.scratch,
+                     sketch_.window_sketch);
+}
+
+void MappingPipeline::emitPrimary(BatchWork& b) {
+  emitReads(b, [&](std::size_t i) {
+    const ReadWork& w = b.work[i];
+    if (w.pick.cand < 0) {
+      b.builder.emitChainOnly(b.reads[i], w.cands[0]);
+      return;
+    }
+    const auto& cand = w.cands[static_cast<std::size_t>(w.pick.cand)];
+    if (w.best.ok) {
+      b.builder.emitAligned(
+          b.reads[i], cand, w.best,
+          computeMapqFromDistances(w.pick.d1, w.pick.d2, cfg_.mapq_cap));
+    } else {
+      tallyAlignmentFailure(b, i);
+      b.builder.emitChainOnly(b.reads[i], cand);
+    }
+  });
+}
+
+void MappingPipeline::scoreAll(BatchWork& b) {
   // Every record needs a CIGAR anyway, so a distance phase would be pure
   // overhead: flatten every read's candidates into one engine batch.
   // Targets are views into the genome, queries views into the read (or
   // its cached reverse complement): no window text is copied.
-  std::vector<std::size_t> offset(reads.size() + 1, 0);
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    offset[i + 1] = offset[i] + work[i].cands.size();
+  util::Timer t;
+  b.offset.assign(b.reads.size() + 1, 0);
+  for (std::size_t i = 0; i < b.reads.size(); ++i) {
+    b.offset[i + 1] = b.offset[i] + b.work[i].cands.size();
   }
-  stage_timer.reset();
   std::vector<engine::AlignmentTask> tasks;
-  tasks.reserve(offset.back());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    for (const auto& c : work[i].cands) {
-      tasks.push_back({targetView(c), queryView(i, c)});
+  tasks.reserve(b.offset.back());
+  for (std::size_t i = 0; i < b.reads.size(); ++i) {
+    for (const auto& c : b.work[i].cands) {
+      tasks.push_back({mapper_.candidateText(c), b.query(i, c)});
     }
   }
-  const auto results = engine_->alignBatch(tasks);
-  times_.traceback_s += stage_timer.seconds();
-  cancel.check();
+  b.results = engine_->alignBatch(tasks);
+  times_.traceback_s += t.seconds();
+  b.cancel.check();
+}
 
-  // Fold results back per read, pick the primary, score MAPQ, and emit
-  // (serial, so output order is input order).
-  stage_timer.reset();
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    const auto& read = reads[i];
-    const auto& cands = work[i].cands;
-    const std::size_t out_before = out.size();
-    ++stats_.reads;
-    tallyFailure(i);
-    if (cands.empty()) {
-      ++stats_.unmapped_reads;
-      noteRead(i, out_before);
-      continue;
-    }
-    stats_.candidates += cands.size();
-
+void MappingPipeline::emitAll(BatchWork& b) {
+  emitReads(b, [&](std::size_t i) {
+    const auto& read = b.reads[i];
+    const auto& cands = b.work[i].cands;
     struct Scored {
       std::size_t cand;
       const common::AlignmentResult* res;
@@ -827,18 +589,15 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
     };
     std::vector<Scored> scored;
     for (std::size_t c = 0; c < cands.size(); ++c) {
-      const auto& res = results[offset[i] + c];
+      const auto& res = b.results[b.offset[i] + c];
       if (!res.ok) continue;
       scored.push_back({c, &res, res.cigar.count(common::EditOp::Match),
                         res.cigar.editDistance()});
     }
-
     if (scored.empty()) {
-      tallyAlignmentFailure(i);
-      builder.emitChainOnly(read, cands[0]);
-      ++stats_.mapped_reads;
-      noteRead(i, out_before);
-      continue;
+      tallyAlignmentFailure(b, i);
+      b.builder.emitChainOnly(read, cands[0]);
+      return;
     }
 
     // Primary = most matches; ties to fewer edits, then chain order.
@@ -854,21 +613,64 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
     for (std::size_t k = 0; k < scored.size(); ++k) {
       if (k != best) second = std::max(second, scored[k].matches);
     }
-    const int primary_mapq =
-        computeMapq(scored[best].matches, second, cfg_.mapq_cap);
-
-    builder.emitAligned(read, cands[scored[best].cand], *scored[best].res,
-                        primary_mapq);
+    b.builder.emitAligned(
+        read, cands[scored[best].cand], *scored[best].res,
+        computeMapq(scored[best].matches, second, cfg_.mapq_cap));
     for (std::size_t k = 0; k < scored.size(); ++k) {
       if (k != best) {
-        builder.emitAligned(read, cands[scored[k].cand], *scored[k].res, 0);
+        b.builder.emitAligned(read, cands[scored[k].cand], *scored[k].res, 0);
       }
     }
-    ++stats_.mapped_reads;
-    noteRead(i, out_before);
+  });
+}
+
+void MappingPipeline::emitReads(
+    BatchWork& b, const std::function<void(std::size_t)>& emitMapped) {
+  util::Timer t;
+  for (std::size_t i = 0; i < b.reads.size(); ++i) {
+    const std::size_t out_before = b.out.size();
+    ++stats_.reads;
+    tallyFailure(b, i);
+    if (b.work[i].cands.empty()) {
+      ++stats_.unmapped_reads;
+    } else {
+      stats_.candidates += b.work[i].cands.size();
+      emitMapped(i);
+      ++stats_.mapped_reads;
+    }
+    // Per-read record counts for callers that split the batch back into
+    // requests.
+    if (b.outmap != nullptr) {
+      b.outmap->records_per_read.push_back(
+          static_cast<std::uint32_t>(b.out.size() - out_before));
+      b.outmap->read_failed.push_back(b.work[i].failed);
+    }
   }
-  times_.output_s += stage_timer.seconds();
-  return out;
+  times_.output_s += t.seconds();
+}
+
+void MappingPipeline::tallyFailure(BatchWork& b, std::size_t i) {
+  const ReadWork& w = b.work[i];
+  if (w.failed == 0) return;
+  ++report_.failed_reads;
+  report_.errors.add(w.status.ok() ? common::ErrorCode::kInternal
+                                   : w.status.code());
+  if (report_.first_error.ok() && !w.status.ok()) {
+    report_.first_error = w.status;
+  }
+}
+
+void MappingPipeline::tallyAlignmentFailure(BatchWork& b, std::size_t i) {
+  // The engine degrades a throwing lane to ok == false; a healthy
+  // backend always produces a result. Runs after emitReads' tallyFailure
+  // for this read, so a read already failed is not counted twice.
+  ReadWork& w = b.work[i];
+  if (w.failed != 0) return;
+  w.failed = 1;
+  w.status = common::Status(
+      common::ErrorCode::kInternal,
+      "candidate alignments failed; emitted chain-only record");
+  tallyFailure(b, i);
 }
 
 PipelineStats MappingPipeline::run(std::istream& reads_in, io::PafWriter& out,

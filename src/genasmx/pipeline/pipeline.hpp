@@ -25,10 +25,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "genasmx/engine/engine.hpp"
@@ -40,7 +41,7 @@
 
 namespace gx::pipeline {
 
-/// Phase-1 candidate prefilter mode (two-phase primary-only flow).
+/// Phase-1 candidate prefilter mode (primary-only flow).
 enum class PrefilterMode {
   kOff,    ///< score every candidate (default; PAF byte-identical to PR-8)
   kSketch  ///< weighted-minhash similarity screen before distanceBatch
@@ -78,25 +79,13 @@ struct PipelineConfig {
   /// Emit non-primary alignments (mapq 0) in addition to the primary.
   /// Every emitted record needs a CIGAR, so this flow full-aligns all
   /// candidates and ranks by match count (the original behaviour, byte
-  /// for byte). Primary-only mapping instead ranks by edit distance and
-  /// can use the two-phase flow below.
+  /// for byte). Primary-only mapping instead ranks by edit distance:
+  /// the chain-best candidate is aligned, every other candidate is
+  /// distance-scored against a per-read cap frozen after that alignment
+  /// (exact wherever the score can change the emitted record, see
+  /// Pick::scoreCap), and only a winner other than the chain-best pays
+  /// for a second traceback alignment.
   bool emit_secondary = true;
-  /// Primary-only fast path: phase 1 distance-scores every candidate
-  /// (exact, capped at the running second-best, so hopeless candidates
-  /// abort their window march early), phase 2 runs one full traceback
-  /// alignment for the winner. Emits byte-identical PAF to the
-  /// single-phase primary-only flow; ignored when emit_secondary is set.
-  bool two_phase = true;
-  /// Phase-1 scoring through Aligner::distanceBatch: each worker packs
-  /// its chunk's non-chain-best candidates into the backend's
-  /// lane-parallel SIMD kernel, with per-read caps fixed after the
-  /// chain-best alignment. Caps only ever tighten as candidates score,
-  /// so the fixed cap is >= every cap the sequential flow would have
-  /// used — and any cap at or above the dynamic one provably emits the
-  /// identical record (see Pick::scoreCap) — so output stays
-  /// byte-identical to the sequential scalar scoring (and to the
-  /// single-phase flow). Only read by the two-phase flow.
-  bool batched_distance = true;
   /// MAPQ ceiling (minimap2 convention).
   int mapq_cap = 60;
   /// What run() does with a malformed input record: kAbort (default,
@@ -115,14 +104,14 @@ struct PipelineConfig {
   /// output is independent of batch boundaries, so any value emits
   /// byte-identical PAF.
   std::size_t max_batch_bytes = 0;
-  /// Phase-1 sketch prefilter (two-phase primary-only flow only): drop
-  /// candidates whose estimated read~window similarity says they cannot
-  /// beat the frozen score cap, before they reach distanceBatch. Off by
-  /// default — may suppress true runner-up distances, so PAF with the
-  /// filter on is not guaranteed byte-identical to the unfiltered flow
-  /// (recall is bounded by tests instead). Filter decisions use the
-  /// frozen post-chain-best cap in every path, so batched vs scalar
-  /// scoring and any thread count stay byte-identical to *each other*.
+  /// Phase-1 sketch prefilter (primary-only flow only): drop candidates
+  /// whose estimated read~window similarity says they cannot beat the
+  /// frozen score cap, before they reach distanceBatch. Off by default —
+  /// may suppress true runner-up distances, so PAF with the filter on is
+  /// not guaranteed byte-identical to the unfiltered flow (recall is
+  /// bounded by tests instead). Filter decisions are a pure function of
+  /// the sequences and the frozen cap, so any thread count emits
+  /// byte-identical PAF.
   PrefilterConfig prefilter{};
 };
 
@@ -168,10 +157,11 @@ struct RunReport {
 struct StageTimes {
   double index_build_s = 0;     ///< reference indexing (constructor)
   double seed_chain_s = 0;      ///< minimizer seeding + chaining
-  double phase1_distance_s = 0; ///< two-phase phase 1 (distance scoring)
-  /// Sketch-prefilter CPU seconds, summed across workers. A *sub-stage*
-  /// of phase 1 (already inside phase1_distance_s, not additive with it);
-  /// 0 unless the prefilter is on.
+  double phase1_distance_s = 0; ///< primary-only phase 1 (distance scoring)
+  /// Seconds of phase 1's plan step (cap freezing + sketch prefilter),
+  /// which runs on the calling thread, so wall time equals CPU time. A
+  /// *sub-stage* of phase 1 (already inside phase1_distance_s, not
+  /// additive with it); 0 unless the prefilter is on.
   double sketch_s = 0;
   double traceback_s = 0;       ///< full traceback alignment batches
   double output_s = 0;          ///< record construction + PAF writing
@@ -256,21 +246,6 @@ class MappingPipeline {
   MappingPipeline(mapper::IndexView index, engine::AlignmentEngine& shared_engine,
                   PipelineConfig cfg = {});
 
-  /// Named constructor for the serve-from-disk path; reads as
-  /// `MappingPipeline::open(mapped.view(), cfg)` at call sites.
-  [[nodiscard]] static MappingPipeline open(mapper::IndexView index,
-                                            PipelineConfig cfg = {}) {
-    return MappingPipeline(index, std::move(cfg));
-  }
-
-  /// Flat-genome convenience: a single contig named `target_name` (the
-  /// PAF target-name column).
-  [[deprecated(
-      "construct a refmodel::Reference (or open an index file) instead; "
-      "the flat-string path predates the multi-contig model")]]
-  MappingPipeline(std::string target_name, std::string genome,
-                  PipelineConfig cfg = {});
-
   [[nodiscard]] const PipelineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const mapper::Mapper& mapper() const noexcept {
     return mapper_;
@@ -322,14 +297,50 @@ class MappingPipeline {
   }
 
  private:
-  /// Per-worker sketch state, leased per chunk from a spare pool (same
-  /// pattern as the engine's AlignerLease) so phase-1 workers never share
-  /// scratch and steady-state batches allocate nothing.
+  /// One mapBatch() call's working state, threaded through the stages.
+  struct BatchWork;
+
+  /// Sketch-prefilter scratch, reused across batches so steady-state
+  /// batches allocate nothing. Phase 1 plans on the calling thread, so
+  /// one instance serves the whole pipeline.
   struct SketchWorker {
     sketch::SketchScratch scratch;
     sketch::SequenceSketch read_sketch;
     sketch::SequenceSketch window_sketch;
   };
+
+  /// Stage 1: candidate generation, fanned out on the engine's pool.
+  void seed(BatchWork& b);
+  /// Primary-only stages: capped distance scoring, then one record per
+  /// mapped read.
+  void scorePrimary(BatchWork& b);
+  void emitPrimary(BatchWork& b);
+  /// Secondary-emitting stages: full alignment of every candidate, then
+  /// the primary plus every other aligned candidate per read.
+  void scoreAll(BatchWork& b);
+  void emitAll(BatchWork& b);
+
+  /// Phase-1 plan for one read: sketch-filter its non-chain-best
+  /// candidates and append the survivors as distance tasks capped at the
+  /// read's frozen Pick::scoreCap().
+  void planRead(BatchWork& b, std::size_t i,
+                std::vector<engine::DistanceTask>& tasks,
+                std::vector<std::pair<std::size_t, std::size_t>>& task_cand);
+  /// Sketch a candidate window from the position-sorted index table
+  /// into sketch_.window_sketch.
+  void sketchWindow(const mapper::Candidate& cand);
+
+  /// The serial emission walk shared by both flows: per-read stats,
+  /// failure tallies and the output map, in input order. emitMapped(i)
+  /// emits the records of read i, which has at least one candidate.
+  void emitReads(BatchWork& b,
+                 const std::function<void(std::size_t)>& emitMapped);
+  /// Fold read i's failure flag into the report (input order, so
+  /// first_error is deterministic).
+  void tallyFailure(BatchWork& b, std::size_t i);
+  /// Flag read i as failed at its emission site: its alignment faulted
+  /// and it is emitted chain-only.
+  void tallyAlignmentFailure(BatchWork& b, std::size_t i);
 
   /// Re-sort the index's (key -> position) arrays into a position-sorted
   /// (position -> key) table when the sketch prefilter is on; no-op
@@ -347,8 +358,7 @@ class MappingPipeline {
   PipelineStats stats_;
   RunReport report_;
   PrefilterStats prefilter_stats_;
-  std::mutex sketch_mu_;  ///< guards sketch_spares_ + prefilter stat folds
-  std::vector<std::unique_ptr<SketchWorker>> sketch_spares_;
+  SketchWorker sketch_;
   /// The reference's kept minimizers re-sorted by global position
   /// (parallel arrays, built once when the prefilter is on): a candidate
   /// window's minimizer keys are the contiguous pf_keys_ subrange whose

@@ -156,7 +156,12 @@ Status MapClient::map(std::string_view id, std::string_view fastq,
   Status st = sendRaw(formatRequestHeader(h));
   if (!st.ok()) return st;
   st = sendRaw(fastq);
-  if (!st.ok()) return st;
+  if (!st.ok()) {
+    // A server that rejects the header (too-large) replies and closes
+    // without reading the payload, so the send can fail after the reply
+    // is already queued here: prefer that reply to the send error.
+    return readReply(reply, body).ok() ? Status() : st;
+  }
   return readReply(reply, body);
 }
 

@@ -44,9 +44,16 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t grain) {
   if (n == 0) return;
-  const std::size_t chunks = std::min(n, size() * 4);
+  grain = std::max<std::size_t>(grain, 1);
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min(n / grain, size() * 4));
+  if (chunks == 1) {
+    fn(0, n);
+    return;
+  }
   const std::size_t step = (n + chunks - 1) / chunks;
   // The group outlives every chunk because we block on it below, so the
   // workers may hold raw pointers into this frame.

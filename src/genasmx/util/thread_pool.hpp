@@ -46,13 +46,16 @@ class ThreadPool {
   /// invisible here — their group owns them.
   void wait_idle();
 
-  /// Run fn(begin, end) over [0, n) split into `size()*4` chunks, blocking
-  /// until completion. fn must be safe to call concurrently. Rethrows the
-  /// first exception any chunk threw (see wait_idle); callers that need
+  /// Run fn(begin, end) over [0, n) split into at most `size()*4` chunks
+  /// of at least `grain` indices each, blocking until completion. fn must
+  /// be safe to call concurrently. A single chunk runs inline on the
+  /// calling thread (no hand-off, no wake-ups). Rethrows the first
+  /// exception any chunk threw (see wait_idle); callers that need
   /// per-chunk isolation catch inside fn. Concurrent calls from different
   /// threads are independent: each waits only for its own chunks.
   void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+                    const std::function<void(std::size_t, std::size_t)>& fn,
+                    std::size_t grain = 1);
 
  private:
   /// One parallel_for call's accounting, stack-allocated by the caller.

@@ -1,8 +1,8 @@
 // Distance-mode contract: for every registered backend,
 // distance(t, q, cap) returns exactly align(t, q).edit_distance whenever
-// that alignment exists with cost <= cap, and -1 otherwise. The two-phase
-// mapping flow's byte-identity with the single-phase flow rests entirely
-// on this equivalence, so it is hammered with randomized pairs across the
+// that alignment exists with cost <= cap, and -1 otherwise. The primary-
+// only mapping flow's byte-identity with the single-phase reference rests
+// entirely on this equivalence, so it is hammered with randomized pairs across the
 // global/windowed switchover. Also pins the arena guarantees: MemStats
 // alloc/free balance and zero steady-state scratch allocations.
 

@@ -485,7 +485,7 @@ class ThrowingAligner final : public engine::Aligner {
   engine::AlignerPtr inner_;
 };
 
-TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
+void registerThrowingBackend() {
   auto& registry = engine::AlignerRegistry::instance();
   if (!registry.contains("throwing-test")) {
     registry.add("throwing-test", "fault-matrix test backend",
@@ -493,6 +493,10 @@ TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
                    return std::make_unique<ThrowingAligner>(cfg);
                  });
   }
+}
+
+TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
+  registerThrowingBackend();
 
   // 40 well-formed pairs, two poisoned ones in the middle of chunks.
   std::vector<std::string> targets, queries;
@@ -562,6 +566,20 @@ TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
     EXPECT_EQ(ds[i], clean_ds[i]) << i;
   }
   EXPECT_EQ(eng.taskFailures(), 4u);
+
+  // The optional failure output flags exactly the poisoned tasks.
+  std::vector<unsigned char> failed;
+  (void)eng.alignBatch(tasks, &failed);
+  ASSERT_EQ(failed.size(), tasks.size());
+  for (std::size_t i = 0; i < failed.size(); ++i) {
+    EXPECT_EQ(failed[i], i == 7 || i == 23 ? 1 : 0) << i;
+  }
+  (void)eng.distanceBatch(dtasks, &failed);
+  ASSERT_EQ(failed.size(), dtasks.size());
+  for (std::size_t i = 0; i < failed.size(); ++i) {
+    EXPECT_EQ(failed[i], i == 7 || i == 23 ? 1 : 0) << i;
+  }
+  EXPECT_EQ(eng.taskFailures(), 8u);
 
   // The single-pair entry points degrade by throwing (callers isolate),
   // and a throwing aligner is never recycled into the spare pool: a
@@ -640,6 +658,93 @@ TEST(PipelineFaults, SkipPolicyKeepsGoodReadPafByteIdentical) {
   EXPECT_THROW((void)pipe.run(in, writer, "reads.fq"), Error);
   EXPECT_FALSE(pipe.report().first_error.ok());
   EXPECT_EQ(pipe.report().first_error.code(), ErrorCode::kMalformedInput);
+}
+
+// A read whose phase-1 task throws in a primary-only batch degrades on
+// its own: flagged failed, emitted as its chain-only record, while every
+// other read's PAF stays byte-identical to a clean run — at 1 and 4
+// threads, so the poisoned task shares an engine chunk with healthy ones.
+TEST(PipelineFaults, PoisonedReadDegradesAloneInPrimaryOnlyBatch) {
+  registerThrowingBackend();
+  refmodel::Reference ref;
+  readsim::GenomeConfig gcfg;
+  gcfg.length = 60'000;
+  gcfg.seed = 31;
+  gcfg.repeat_fraction = 0.2;  // multi-candidate reads reach phase 1
+  ref.addContig("chr", readsim::generateGenome(gcfg));
+  auto rcfg = readsim::ReadSimConfig::pacbioClr(16, 900);
+  rcfg.seed = 37;
+  const auto sim = readsim::simulateReads(ref, rcfg);
+  std::vector<io::FastxRecord> clean;
+  for (const auto& r : sim) {
+    io::FastxRecord rec;
+    rec.name = r.name;
+    rec.seq = r.seq;
+    clean.push_back(std::move(rec));
+  }
+  // The marker must reach the aligner's query text, and reverse
+  // complementing folds any non-ACGT byte to 'A': poison a plus-strand
+  // read, in the middle of the batch.
+  std::size_t poisoned = sim.size() / 2;
+  while (poisoned < sim.size() && sim[poisoned].reverse_strand) ++poisoned;
+  ASSERT_LT(poisoned, sim.size()) << "no plus-strand read simulated";
+  auto dirty = clean;
+  dirty[poisoned].seq[dirty[poisoned].seq.size() / 2] = 'Z';
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    pipeline::PipelineConfig cfg;
+    cfg.engine.backend = "throwing-test";
+    cfg.engine.threads = threads;
+    cfg.emit_secondary = false;
+    const auto mapOnce = [&](const std::vector<io::FastxRecord>& reads,
+                             pipeline::BatchOutputMap& outmap,
+                             pipeline::RunReport& report) {
+      pipeline::MappingPipeline pipe(ref, cfg);
+      auto records = pipe.mapBatch(reads, pipeline::Cancellation{}, &outmap);
+      report = pipe.report();
+      return records;
+    };
+    pipeline::BatchOutputMap clean_map, dirty_map;
+    pipeline::RunReport clean_report, dirty_report;
+    const auto clean_recs = mapOnce(clean, clean_map, clean_report);
+    const auto dirty_recs = mapOnce(dirty, dirty_map, dirty_report);
+    EXPECT_TRUE(clean_report.clean());
+    ASSERT_EQ(dirty_map.read_failed.size(), dirty.size());
+    ASSERT_EQ(clean_map.records_per_read.size(), clean.size());
+
+    // Flagged in the output map and the report, nowhere else.
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      EXPECT_EQ(dirty_map.read_failed[i], i == poisoned ? 1 : 0) << i;
+    }
+    EXPECT_EQ(dirty_report.failed_reads, 1u);
+    EXPECT_EQ(dirty_report.errors[ErrorCode::kInternal], 1u);
+
+    // Walk both record vectors read by read.
+    std::size_t ci = 0, di = 0;
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      const std::size_t cn = clean_map.records_per_read[i];
+      const std::size_t dn = dirty_map.records_per_read[i];
+      if (i == poisoned) {
+        // One CIGAR-less mapq-0 record: the chain-best candidate's span.
+        ASSERT_EQ(dn, 1u) << threads << " threads";
+        const auto& rec = dirty_recs[di];
+        EXPECT_EQ(rec.query_name, dirty[i].name);
+        EXPECT_TRUE(rec.cigar.empty());
+        EXPECT_EQ(rec.mapq, 0);
+        EXPECT_EQ(io::toPafLine(rec).find("cg:Z:"), std::string::npos);
+      } else {
+        ASSERT_EQ(dn, cn) << i;
+        for (std::size_t k = 0; k < cn; ++k) {
+          EXPECT_EQ(io::toPafLine(dirty_recs[di + k]),
+                    io::toPafLine(clean_recs[ci + k]))
+              << "read " << i << ", " << threads << " threads";
+        }
+      }
+      ci += cn;
+      di += dn;
+    }
+    EXPECT_EQ(di, dirty_recs.size());
+  }
 }
 
 TEST(PipelineFaults, AdmissionCapsRejectWithoutCrashing) {

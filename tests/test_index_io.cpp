@@ -23,6 +23,7 @@
 #include "genasmx/readsim/genome.hpp"
 #include "genasmx/readsim/read_simulator.hpp"
 #include "genasmx/refmodel/reference.hpp"
+#include "single_phase_reference.hpp"
 
 namespace gx::mapper {
 namespace {
@@ -175,17 +176,15 @@ TEST(IndexIo, PipelinePafByteIdenticalFromBothSources) {
   rcfg.seed = 59;
   const auto reads = readsim::simulateReads(ref, rcfg);
   std::ostringstream fq;
-  {
-    std::vector<io::FastxRecord> fastx;
-    for (const auto& r : reads) {
-      io::FastxRecord rec;
-      rec.name = r.name;
-      rec.seq = r.seq;
-      rec.qual.assign(r.seq.size(), 'I');
-      fastx.push_back(std::move(rec));
-    }
-    io::writeFastx(fq, fastx);
+  std::vector<io::FastxRecord> fastx;
+  for (const auto& r : reads) {
+    io::FastxRecord rec;
+    rec.name = r.name;
+    rec.seq = r.seq;
+    rec.qual.assign(r.seq.size(), 'I');
+    fastx.push_back(std::move(rec));
   }
+  io::writeFastx(fq, fastx);
   const std::string path = tempPath("pipeline.gxi");
   {
     MinimizerIndex index;
@@ -193,16 +192,18 @@ TEST(IndexIo, PipelinePafByteIdenticalFromBothSources) {
     writeIndexFile(path, index, ref);
   }
 
-  auto run = [&](bool from_disk, std::size_t threads) {
+  auto run = [&](bool from_disk, std::size_t threads,
+                 bool emit_secondary = true) {
     pipeline::PipelineConfig cfg;
     cfg.engine.threads = threads;
     cfg.batch_reads = 7;
+    cfg.emit_secondary = emit_secondary;
     std::istringstream in(fq.str());
     std::ostringstream out;
     io::PafWriter writer(out);
     if (from_disk) {
       const MappedIndex mapped(path);
-      auto pipe = pipeline::MappingPipeline::open(mapped.view(), cfg);
+      pipeline::MappingPipeline pipe(mapped.view(), cfg);
       (void)pipe.run(in, writer);
     } else {
       pipeline::MappingPipeline pipe(ref, cfg);
@@ -215,6 +216,17 @@ TEST(IndexIo, PipelinePafByteIdenticalFromBothSources) {
   ASSERT_FALSE(memory1.empty());
   EXPECT_EQ(memory1, run(true, 1));
   EXPECT_EQ(memory1, run(true, 8));
+
+  // Primary-only from the file matches the single-phase reference flow
+  // over the in-memory build.
+  pipeline::PipelineConfig ref_cfg;
+  ref_cfg.emit_secondary = false;
+  pipeline::MappingPipeline ref_pipe(ref, ref_cfg);
+  const std::string single =
+      testref::pafText(testref::singlePhasePrimary(ref_pipe, fastx));
+  ASSERT_FALSE(single.empty());
+  EXPECT_EQ(single, run(true, 1, false));
+  EXPECT_EQ(single, run(true, 8, false));
 }
 
 // ------------------------------------------------------------ rejection

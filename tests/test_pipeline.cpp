@@ -18,6 +18,7 @@
 #include "genasmx/readsim/genome.hpp"
 #include "genasmx/readsim/read_simulator.hpp"
 #include "genasmx/refmodel/reference.hpp"
+#include "single_phase_reference.hpp"
 
 namespace gx::pipeline {
 namespace {
@@ -179,57 +180,71 @@ TEST(MappingPipeline, PrimaryOnlyEmitsAtMostOneRecordPerRead) {
   EXPECT_EQ(records.size(), pipe.stats().mapped_reads);
 }
 
-// The two-phase (distance-score then single traceback) flow must emit
-// byte-identical PAF to the single-phase full-alignment flow — the
-// acceptance bar for the distance-first restructuring — at 1 and 8
-// threads, over a repeat-rich genome so reads carry competing candidates.
-TEST(MappingPipeline, TwoPhasePafIsByteIdenticalToSinglePhase) {
-  readsim::GenomeConfig gcfg;
-  gcfg.length = 200'000;
-  gcfg.seed = 67;
-  gcfg.repeat_fraction = 0.30;  // force multi-candidate reads
-  gcfg.repeat_unit = 1'500;
-  gcfg.repeat_divergence = 0.02;
-  const auto genome = readsim::generateGenome(gcfg);
-  auto rcfg = readsim::ReadSimConfig::pacbioClr(40, 2'000);
-  rcfg.seed = 71;
-  const auto fastx = toFastx(readsim::simulateReads(genome, rcfg));
-  std::ostringstream fq;
-  io::writeFastx(fq, fastx);
+// The primary-only flow (capped distance scoring, then one traceback per
+// winner) must emit byte-identical PAF to the uncapped single-phase
+// reference flow — the acceptance bar for distance-first scoring — at 1
+// and 8 threads, over repeat-rich genomes so reads carry competing
+// candidates. The second workload's reads sit inside near-identical
+// repeat copies, so runner-up distances land below the MAPQ saturation
+// point and the cap logic is exercised, not just the winner choice.
+TEST(MappingPipeline, PrimaryOnlyPafIsByteIdenticalToSinglePhaseReference) {
+  struct Workload {
+    std::size_t repeat_unit;
+    double repeat_divergence;
+    std::size_t read_len;
+  };
+  for (const Workload wl : {Workload{1'500, 0.02, 2'000},
+                            Workload{4'000, 0.005, 1'000}}) {
+    readsim::GenomeConfig gcfg;
+    gcfg.length = 200'000;
+    gcfg.seed = 67;
+    gcfg.repeat_fraction = 0.30;  // force multi-candidate reads
+    gcfg.repeat_unit = wl.repeat_unit;
+    gcfg.repeat_divergence = wl.repeat_divergence;
+    const auto genome = readsim::generateGenome(gcfg);
+    auto rcfg = readsim::ReadSimConfig::pacbioClr(40, wl.read_len);
+    rcfg.seed = 71;
+    const auto fastx = toFastx(readsim::simulateReads(genome, rcfg));
+    std::ostringstream fq;
+    io::writeFastx(fq, fastx);
 
-  auto run = [&](bool two_phase, std::size_t threads, bool batched) {
+    auto run = [&](std::size_t threads) {
+      PipelineConfig cfg;
+      cfg.emit_secondary = false;
+      cfg.engine.threads = threads;
+      cfg.batch_reads = 11;
+      MappingPipeline pipe(refmodel::Reference("ref", std::string(genome)),
+                           cfg);
+      std::istringstream in(fq.str());
+      std::ostringstream out;
+      io::PafWriter writer(out);
+      const auto stats = pipe.run(in, writer);
+      EXPECT_EQ(stats.reads, fastx.size());
+      return out.str();
+    };
+
     PipelineConfig cfg;
     cfg.emit_secondary = false;
-    cfg.two_phase = two_phase;
-    cfg.batched_distance = batched;
-    cfg.engine.threads = threads;
-    cfg.batch_reads = 11;
     MappingPipeline pipe(refmodel::Reference("ref", std::string(genome)), cfg);
-    std::istringstream in(fq.str());
-    std::ostringstream out;
-    io::PafWriter writer(out);
-    const auto stats = pipe.run(in, writer);
-    EXPECT_EQ(stats.reads, fastx.size());
-    return out.str();
-  };
-
-  const std::string single1 = run(false, 1, true);
-  ASSERT_FALSE(single1.empty());
-  EXPECT_EQ(single1, run(true, 1, true));
-  EXPECT_EQ(single1, run(true, 8, true));
-  EXPECT_EQ(single1, run(false, 8, true));
-  // The runs above used the default SIMD-batched phase 1 (frozen
-  // per-read caps); the sequential dynamically-capped scalar scoring
-  // must emit the identical records at 1 and 8 threads — the batched
-  // flow's loosened caps are provably output-preserving.
-  EXPECT_EQ(single1, run(true, 1, false));
-  EXPECT_EQ(single1, run(true, 8, false));
+    const auto records = testref::singlePhasePrimary(pipe, fastx);
+    const std::string single = testref::pafText(records);
+    ASSERT_FALSE(single.empty());
+    EXPECT_EQ(single, run(1)) << "repeat unit " << wl.repeat_unit;
+    EXPECT_EQ(single, run(8)) << "repeat unit " << wl.repeat_unit;
+    if (wl.repeat_unit > wl.read_len) {
+      EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                              [](const io::PafRecord& r) {
+                                return r.mapq > 0 && r.mapq < 60;
+                              }))
+          << "no read scored a runner-up below MAPQ saturation";
+    }
+  }
 }
 
 // The emitted PAF must not depend on which SIMD ISA the lane kernels run
 // at: every supported level — scalar lanes, SSE2, AVX2, AVX-512 where the
-// host has it — emits byte-identical records for the full/secondary,
-// single-phase primary-only, and two-phase flows.
+// host has it — emits byte-identical records for the full/secondary and
+// primary-only flows and the single-phase reference.
 TEST(MappingPipeline, PafIsByteIdenticalAcrossIsaLevels) {
   const auto genome = testGenome(120'000, 77);
   auto rcfg = readsim::ReadSimConfig::pacbioClr(20, 1'600);
@@ -238,9 +253,8 @@ TEST(MappingPipeline, PafIsByteIdenticalAcrossIsaLevels) {
   std::ostringstream fq;
   io::writeFastx(fq, fastx);
 
-  auto run = [&](bool two_phase, bool emit_secondary) {
+  auto run = [&](bool emit_secondary) {
     PipelineConfig cfg;
-    cfg.two_phase = two_phase;
     cfg.emit_secondary = emit_secondary;
     cfg.engine.threads = 2;
     cfg.batch_reads = 9;
@@ -252,20 +266,28 @@ TEST(MappingPipeline, PafIsByteIdenticalAcrossIsaLevels) {
     return out.str();
   };
 
+  PipelineConfig ref_cfg;
+  ref_cfg.emit_secondary = false;
+  MappingPipeline ref_pipe(refmodel::Reference("ref", std::string(genome)),
+                           ref_cfg);
+  const auto single = [&] {
+    return testref::pafText(testref::singlePhasePrimary(ref_pipe, fastx));
+  };
+
   const auto active = simd::activeIsa();
   // Reference PAF per flow at whatever level the host dispatched.
-  const std::string full = run(false, true);
-  const std::string single = run(false, false);
-  const std::string two = run(true, false);
+  const std::string full = run(true);
+  const std::string primary = run(false);
   ASSERT_FALSE(full.empty());
+  EXPECT_EQ(primary, single());
   for (const auto level :
        {simd::IsaLevel::Scalar, simd::IsaLevel::Sse2, simd::IsaLevel::Avx2,
         simd::IsaLevel::Avx512}) {
     if (!simd::isaSupported(level)) continue;
     simd::forceIsa(level);
-    EXPECT_EQ(full, run(false, true)) << simd::isaName(level);
-    EXPECT_EQ(single, run(false, false)) << simd::isaName(level);
-    EXPECT_EQ(two, run(true, false)) << simd::isaName(level);
+    EXPECT_EQ(full, run(true)) << simd::isaName(level);
+    EXPECT_EQ(primary, run(false)) << simd::isaName(level);
+    EXPECT_EQ(primary, single()) << simd::isaName(level);
   }
   simd::forceIsa(active);
 }
@@ -376,12 +398,11 @@ TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreadsAndFlows) {
   std::ostringstream fq;
   io::writeFastx(fq, fastx);
 
-  auto run = [&](std::size_t threads, bool emit_secondary, bool two_phase) {
+  auto run = [&](std::size_t threads, bool emit_secondary) {
     PipelineConfig cfg;
     cfg.engine.threads = threads;
     cfg.batch_reads = 7;
     cfg.emit_secondary = emit_secondary;
-    cfg.two_phase = two_phase;
     MappingPipeline pipe(ref, cfg);
     std::istringstream in(fq.str());
     std::ostringstream out;
@@ -390,12 +411,16 @@ TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreadsAndFlows) {
     return out.str();
   };
 
-  const std::string full1 = run(1, true, false);
+  const std::string full1 = run(1, true);
   ASSERT_FALSE(full1.empty());
-  EXPECT_EQ(full1, run(8, true, false));
-  const std::string single1 = run(1, false, false);
-  EXPECT_EQ(single1, run(1, false, true));
-  EXPECT_EQ(single1, run(8, false, true));
+  EXPECT_EQ(full1, run(8, true));
+  PipelineConfig ref_cfg;
+  ref_cfg.emit_secondary = false;
+  MappingPipeline ref_pipe(ref, ref_cfg);
+  const std::string single =
+      testref::pafText(testref::singlePhasePrimary(ref_pipe, fastx));
+  EXPECT_EQ(single, run(1, false));
+  EXPECT_EQ(single, run(8, false));
 }
 
 TEST(MappingPipeline, UnknownBackendThrows) {

@@ -5,11 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "genasmx/common/sequence.hpp"
 #include "genasmx/common/verify.hpp"
-#include "genasmx/core/batch.hpp"
 #include "genasmx/core/windowed.hpp"
+#include "genasmx/engine/engine.hpp"
 #include "genasmx/ksw/ksw_affine.hpp"
 #include "genasmx/myers/myers.hpp"
 #include "genasmx/refdp/edit_dp.hpp"
@@ -126,6 +127,17 @@ TEST(WindowedVsOptimal, NeverBelowOptimalAlwaysValid) {
 
 // ------------------------------------------------------------ batch API
 
+/// Batch-align `pairs` through an AlignmentEngine running `backend`.
+std::vector<common::AlignmentResult> alignBatch(
+    const std::vector<mapper::AlignmentPair>& pairs,
+    const std::string& backend = "windowed-improved",
+    std::size_t threads = 0) {
+  engine::EngineConfig cfg;
+  cfg.backend = backend;
+  cfg.threads = threads;
+  return engine::AlignmentEngine(cfg).alignBatch(pairs);
+}
+
 TEST(Batch, MatchesSequentialAndThreadCountInvariant) {
   util::Xoshiro256 rng(88);
   std::vector<mapper::AlignmentPair> pairs;
@@ -135,12 +147,8 @@ TEST(Batch, MatchesSequentialAndThreadCountInvariant) {
     p.query = common::mutateSequence(rng, p.target, rng.below(60));
     pairs.push_back(std::move(p));
   }
-  core::BatchConfig one_thread;
-  one_thread.threads = 1;
-  core::BatchConfig four_threads;
-  four_threads.threads = 4;
-  const auto r1 = core::alignBatch(pairs, one_thread);
-  const auto r4 = core::alignBatch(pairs, four_threads);
+  const auto r1 = alignBatch(pairs, "windowed-improved", 1);
+  const auto r4 = alignBatch(pairs, "windowed-improved", 4);
   ASSERT_EQ(r1.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     ASSERT_TRUE(r1[i].ok);
@@ -160,18 +168,15 @@ TEST(Batch, BaselineModeMatchesImproved) {
     p.query = common::mutateSequence(rng, p.target, 40);
     pairs.push_back(std::move(p));
   }
-  core::BatchConfig base_cfg;
-  base_cfg.baseline = true;
-  base_cfg.threads = 2;
-  const auto base = core::alignBatch(pairs, base_cfg);
-  const auto impr = core::alignBatch(pairs, core::BatchConfig{});
+  const auto base = alignBatch(pairs, "windowed-baseline", 2);
+  const auto impr = alignBatch(pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(base[i].cigar, impr[i].cigar);
   }
 }
 
 TEST(Batch, EmptyBatch) {
-  EXPECT_TRUE(core::alignBatch({}, core::BatchConfig{}).empty());
+  EXPECT_TRUE(alignBatch({}).empty());
 }
 
 // ------------------------------------------------ adversarial inputs

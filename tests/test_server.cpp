@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,6 +37,7 @@
 #include "genasmx/server/server.hpp"
 #include "genasmx/server/session.hpp"
 #include "genasmx/util/thread_pool.hpp"
+#include "single_phase_reference.hpp"
 
 #ifdef __GLIBCXX__
 #include <ext/stdio_filebuf.h>
@@ -464,6 +467,44 @@ TEST(MapServerTest, ConcurrentClientsGetByteIdenticalPafFourWorkers) {
   srv.stop();
 }
 
+TEST(MapServerTest, PrimaryOnlyPafMatchesSinglePhaseReference) {
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.coalesce_requests = 3;  // coalesced batches of several requests
+  cfg.pipeline.emit_secondary = false;
+  ServerHandle srv(cfg);
+
+  pipeline::PipelineConfig ref_cfg;
+  ref_cfg.emit_secondary = false;
+  pipeline::MappingPipeline ref_pipe(world().view(), ref_cfg);
+  constexpr std::size_t kClients = 4;
+  std::vector<std::string> expected(kClients), payload(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    const auto reads = slice(c * 8, (c + 1) * 8);
+    payload[c] = toFastq(reads);
+    expected[c] =
+        testref::pafText(testref::singlePhasePrimary(ref_pipe, reads));
+  }
+
+  std::vector<std::thread> threads;
+  std::vector<std::string> got(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      MapClient client = srv.client();
+      ResponseHeader reply;
+      const auto st = client.map("p" + std::to_string(c), payload[c], 0,
+                                 reply, got[c]);
+      if (!st.ok() || !reply.ok) got[c] = "<failed>";
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_FALSE(expected[c].empty()) << c;
+    EXPECT_EQ(got[c], expected[c]) << "client " << c;
+  }
+  srv.stop();
+}
+
 // ---------------------------------------------------- server: shedding
 
 TEST(MapServerTest, DeadlineExpiryIsARetryableErrNotAHang) {
@@ -495,30 +536,97 @@ TEST(MapServerTest, DeadlineExpiryIsARetryableErrNotAHang) {
   EXPECT_GE(stats.shed_deadline, 1u);
 }
 
+/// Parks every alignment call until the test opens it, so a request can
+/// hold a worker for exactly as long as a test needs — no assumption
+/// about how fast the host maps.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = true;
+  std::atomic<int> entered{0};  ///< calls that reached the gate
+
+  void close() {
+    const std::lock_guard lock(mu);
+    open = false;
+    entered = 0;
+  }
+  void release() {
+    {
+      const std::lock_guard lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  void pass() {
+    ++entered;
+    std::unique_lock lock(mu);
+    cv.wait(lock, [this] { return open; });
+  }
+};
+
+Gate& gate() {
+  static Gate g;
+  return g;
+}
+
+/// The real backend behind the gate.
+class GatedAligner final : public engine::Aligner {
+ public:
+  explicit GatedAligner(const engine::AlignerConfig& cfg)
+      : inner_(engine::makeAligner("windowed-improved", cfg)) {}
+  common::AlignmentResult align(std::string_view target,
+                                std::string_view query) override {
+    gate().pass();
+    return inner_->align(target, query);
+  }
+  int distance(std::string_view target, std::string_view query,
+               int cap) override {
+    gate().pass();
+    return inner_->distance(target, query, cap);
+  }
+  std::string_view name() const noexcept override { return "gated-test"; }
+
+ private:
+  engine::AlignerPtr inner_;
+};
+
+/// Poll `done` every millisecond for up to ten seconds.
+template <typename Pred>
+void waitFor(Pred done) {
+  for (int i = 0; i < 10'000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
+  auto& registry = engine::AlignerRegistry::instance();
+  if (!registry.contains("gated-test")) {
+    registry.add("gated-test", "server test backend that blocks on a gate",
+                 [](const engine::AlignerConfig& cfg) {
+                   return std::make_unique<GatedAligner>(cfg);
+                 });
+  }
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_queue = 1;
   cfg.coalesce_requests = 1;
-  cfg.pipeline.engine.threads = 1;  // slow the worker down deterministically
+  cfg.pipeline.engine.threads = 1;
+  cfg.pipeline.engine.backend = "gated-test";
+  gate().close();
   ServerHandle srv(cfg);
 
-  // Big enough to keep the single worker busy for seconds — the shed
-  // probe below lands ~300ms in, so the margin is wide.
-  std::string big;
-  for (int i = 0; i < 32; ++i) big += toFastq(world().reads);
-
+  // The big request parks the single worker in its first alignment until
+  // the gate opens below.
   std::atomic<bool> a_ok{false};
   std::thread ta([&] {
     MapClient client = srv.client();
     ResponseHeader reply;
     std::string body;
-    const auto st = client.map("big", big, 0, reply, body);
+    const auto st = client.map("big", toFastq(world().reads), 0, reply, body);
     a_ok = st.ok() && reply.ok;
   });
-  // Let the worker pick up the big request, then park one request in the
-  // queue and overflow it with a third.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  waitFor([] { return gate().entered.load() > 0; });
+  // Park one request in the queue, then overflow it with a third.
   std::atomic<bool> b_sent{false};
   std::thread tb([&] {
     MapClient client = srv.client();
@@ -527,7 +635,9 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
     b_sent = true;
     (void)client.map("queued", toFastq(slice(0, 2)), 0, reply, body);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  waitFor([&] { return srv.server->statsSnapshot().requests >= 2; });
+  // The reader counts a request one lock hop before it queues it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_TRUE(b_sent.load());
 
   MapClient shed_client = srv.client();
@@ -535,6 +645,7 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
   std::string body;
   const auto st = shed_client.map("shed", toFastq(slice(2, 4)), 0, reply,
                                   body);
+  gate().release();
   ta.join();
   tb.join();
   ASSERT_TRUE(st.ok()) << st.message();
@@ -604,6 +715,16 @@ TEST(MapServerTest, OversizedRequestRejectedWithoutBuffering) {
   ASSERT_FALSE(reply.ok);
   EXPECT_EQ(reply.reason, "too-large");
   EXPECT_FALSE(reply.retry);
+
+  // A payload far beyond the socket buffer: the server closes while the
+  // client is still sending, and the client still gets the reply.
+  std::string big;
+  for (int i = 0; i < 8; ++i) big += toFastq(world().reads);
+  MapClient big_client = srv.client();
+  const auto big_st = big_client.map("huger", big, 0, reply, body);
+  ASSERT_TRUE(big_st.ok()) << big_st.message();
+  ASSERT_FALSE(reply.ok);
+  EXPECT_EQ(reply.reason, "too-large");
   srv.stop();
 }
 

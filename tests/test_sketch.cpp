@@ -3,8 +3,9 @@
 // zero-allocation steady state, monotone-deque extraction equivalence
 // against a reference window rescan, and the pipeline-level prefilter
 // contracts — recall within tolerance of the unfiltered flow, byte-
-// identical PAF across thread counts and scoring modes, keep_ratio=0
-// equivalence with the filter off, and single-scan minimizer reuse.
+// identical PAF across thread counts, keep_ratio=0 equivalence with the
+// filter off and the single-phase reference, and single-scan minimizer
+// reuse.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "genasmx/readsim/read_simulator.hpp"
 #include "genasmx/refmodel/reference.hpp"
 #include "genasmx/sketch/sketch.hpp"
+#include "single_phase_reference.hpp"
 
 namespace gx::sketch {
 namespace {
@@ -234,7 +236,6 @@ PipelineConfig primaryOnlyConfig(PrefilterMode mode,
                                  std::size_t threads = 1) {
   PipelineConfig cfg;
   cfg.emit_secondary = false;
-  cfg.two_phase = true;
   cfg.engine.threads = threads;
   cfg.prefilter.mode = mode;
   return cfg;
@@ -317,7 +318,7 @@ TEST(SketchPrefilter, RecallWithinToleranceAndFiltersCandidates) {
   EXPECT_GE(pf.candidates_filtered * 10, pf.candidates_seen * 3);
 }
 
-TEST(SketchPrefilter, ByteIdenticalAcrossThreadsAndScoringModes) {
+TEST(SketchPrefilter, ByteIdenticalAcrossThreadCounts) {
   const auto genome = repeatGenome();
   auto rcfg = readsim::ReadSimConfig::pacbioClr(40, 2'000);
   rcfg.seed = 6;
@@ -328,9 +329,6 @@ TEST(SketchPrefilter, ByteIdenticalAcrossThreadsAndScoringModes) {
   EXPECT_FALSE(paf_t1.empty());
   EXPECT_EQ(paf_t1,
             runPaf(genome, fastx, primaryOnlyConfig(PrefilterMode::kSketch, 8)));
-  auto scalar = primaryOnlyConfig(PrefilterMode::kSketch, 1);
-  scalar.batched_distance = false;
-  EXPECT_EQ(paf_t1, runPaf(genome, fastx, scalar));
 }
 
 TEST(SketchPrefilter, KeepRatioZeroMatchesFilterOff) {
@@ -350,6 +348,8 @@ TEST(SketchPrefilter, KeepRatioZeroMatchesFilterOff) {
       runPaf(genome, fastx, primaryOnlyConfig(PrefilterMode::kOff));
   EXPECT_EQ(paf_keep_all, paf_off);
   ASSERT_NE(pipe, nullptr);
+  EXPECT_EQ(paf_keep_all,
+            testref::pafText(testref::singlePhasePrimary(*pipe, fastx)));
   EXPECT_GT(pipe->prefilterStats().windows_sketched, 0u);
   EXPECT_EQ(pipe->prefilterStats().candidates_filtered, 0u);
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "genasmx/util/mem_stats.hpp"
@@ -135,6 +139,37 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
     for (std::size_t i = b; i < e; ++i) hits[i]++;
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, GrainBoundsChunksAndOneChunkRunsInline) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::vector<std::thread::id> ids;
+  const auto record = [&](std::size_t b, std::size_t e) {
+    const std::lock_guard lock(mu);
+    chunks.emplace_back(b, e);
+    ids.push_back(std::this_thread::get_id());
+  };
+  // Every chunk carries at least `grain` indices; together they tile
+  // [0, n) exactly.
+  pool.parallel_for(30, record, 4);
+  std::sort(chunks.begin(), chunks.end());
+  ASSERT_FALSE(chunks.empty());
+  std::size_t next = 0;
+  for (const auto& [b, e] : chunks) {
+    EXPECT_EQ(b, next);
+    EXPECT_GE(e - b, 4u);
+    next = e;
+  }
+  EXPECT_EQ(next, 30u);
+  // Fewer than two grains of work is one chunk, run on the caller.
+  chunks.clear();
+  ids.clear();
+  pool.parallel_for(7, record, 4);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(std::size_t{0}, std::size_t{7}));
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {

@@ -26,12 +26,10 @@
 //   --window W --overlap O window geometry (GenASM backends)
 //   --primary-only         suppress secondary (mapq 0) records; enables
 //                          the two-phase distance-first fast path
-//   --single-phase         disable the two-phase fast path (A/B testing;
-//                          output is byte-identical either way)
 //   --prefilter MODE       off (default) | sketch: weighted-minhash
 //                          similarity screen that drops hopeless
 //                          candidates before phase-1 distance scoring
-//                          (requires --primary-only, two-phase flow)
+//                          (requires --primary-only)
 //   --stats-json FILE      write stage times + run counters as one JSON
 //                          object to FILE (stderr text unchanged)
 //   --no-verify            skip the index payload checksum at --index
@@ -88,7 +86,6 @@ struct Options {
   int window = 64;
   int overlap = 24;
   bool primary_only = false;
-  bool single_phase = false;
   std::string prefilter = "off";
   std::string stats_json_path;
   bool no_verify = false;
@@ -114,7 +111,6 @@ bool parseArgs(int argc, char** argv, Options& opt) {
   cli.option("--window", opt.window);
   cli.option("--overlap", opt.overlap);
   cli.flag("--primary-only", opt.primary_only);
-  cli.flag("--single-phase", opt.single_phase);
   cli.option("--prefilter", opt.prefilter);
   cli.option("--stats-json", opt.stats_json_path);
   cli.flag("--no-verify", opt.no_verify);
@@ -138,10 +134,8 @@ bool parseArgs(int argc, char** argv, Options& opt) {
                  opt.prefilter.c_str());
     return false;
   }
-  if (opt.prefilter == "sketch" && (!opt.primary_only || opt.single_phase)) {
-    std::fprintf(stderr,
-                 "--prefilter=sketch requires --primary-only and the "
-                 "two-phase flow (drop --single-phase)\n");
+  if (opt.prefilter == "sketch" && !opt.primary_only) {
+    std::fprintf(stderr, "--prefilter=sketch requires --primary-only\n");
     return false;
   }
   if (opt.on_bad_record != "abort" && opt.on_bad_record != "skip" &&
@@ -217,7 +211,7 @@ int main(int argc, char** argv) {
         "usage: genasmx_map (--ref <reference.fa> | --index <ref.gxi>) "
         "--reads <reads.fa|fq> [--out FILE] [--backend NAME] [--threads N] "
         "[--max-candidates N] [--batch N] [--window W] [--overlap O] "
-        "[--primary-only] [--single-phase] [--prefilter off|sketch] "
+        "[--primary-only] [--prefilter off|sketch] "
         "[--stats-json FILE] [--no-verify] "
         "[--on-bad-record abort|skip|warn] [--max-read-len N] "
         "[--max-batch-bytes N] [--fault SPEC] [--list-backends]\n"
@@ -265,7 +259,6 @@ int main(int argc, char** argv) {
   cfg.max_candidates = opt.max_candidates;
   cfg.batch_reads = opt.batch;
   cfg.emit_secondary = !opt.primary_only;
-  cfg.two_phase = !opt.single_phase;
   cfg.on_bad_record = opt.on_bad_record == "skip"   ? io::OnBadRecord::kSkip
                       : opt.on_bad_record == "warn" ? io::OnBadRecord::kWarn
                                                     : io::OnBadRecord::kAbort;

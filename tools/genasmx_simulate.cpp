@@ -8,6 +8,8 @@
 //
 // Options accept both --opt=VALUE and --opt VALUE (shared tools/cli.hpp
 // dialect). Writes <out_prefix>.fa (genome) and <out_prefix>.reads.fq.
+// --error overrides the preset's error rate (PacBio CLR 10%, --illumina
+// 0.3%) only when given.
 //
 // --contigs=N > 1 emits a multi-contig reference (contigs chr1..chrN of
 // staggered lengths summing to --genome) and samples read origins across
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
   std::size_t n_contigs = 1;
   std::size_t n_reads = 500;
   std::size_t read_len = 10'000;
-  double error = 0.10;
+  double error = -1.0;  ///< < 0: keep the preset's rate (10% / 0.3%)
   bool illumina = false;
   std::size_t seed = 42;
   cli::Parser parser;
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
 
   auto rcfg = illumina ? readsim::ReadSimConfig::illumina(n_reads, read_len)
                        : readsim::ReadSimConfig::pacbioClr(n_reads, read_len);
-  rcfg.errors.error_rate = error;
+  if (error >= 0) rcfg.errors.error_rate = error;
   rcfg.seed = seed + 1;
 
   std::vector<io::FastxRecord> genome_records;
