@@ -1,144 +1,144 @@
 #include "genasmx/core/windowed.hpp"
 
-#include <vector>
-
 namespace gx::core {
 namespace {
 
-template <int NW, class Counter>
-common::AlignmentResult runBaseline(std::string_view target,
-                                    std::string_view query,
-                                    const WindowConfig& cfg, Counter counter) {
-  genasm::BaselineWindowSolver<NW> solver;
-  return alignWindowed(solver, target, query, cfg, counter);
+/// Run fn(solver, counter) on a fresh Solver of the width cfg.window
+/// needs, counting into *stats when it is non-null.
+template <template <int> class Solver, class Fn, class... SolverArgs>
+decltype(auto) withWindowSolver(const WindowConfig& cfg, util::MemStats* stats,
+                                Fn&& fn, const SolverArgs&... solver_args) {
+  return util::withCounter(stats, [&](auto counter) {
+    return bitvector::withWidth(
+        bitvector::wordsNeeded(cfg.window), [&](auto nw) {
+          Solver<nw()> solver(solver_args...);
+          return fn(solver, counter);
+        });
+  });
 }
 
-template <int NW, class Counter>
-common::AlignmentResult runImproved(std::string_view target,
-                                    std::string_view query,
-                                    const WindowConfig& cfg,
-                                    const ImprovedOptions& opts,
-                                    Counter counter) {
-  ImprovedWindowSolver<NW> solver(opts);
-  return alignWindowed(solver, target, query, cfg, counter);
-}
+using March = WindowedBatchScratch::March;
 
-template <int NW, class Counter>
-int runBaselineDistance(std::string_view target, std::string_view query,
-                        const WindowConfig& cfg, int cap, Counter counter) {
-  genasm::BaselineWindowSolver<NW> solver;
-  WindowBuffers bufs;
-  return distanceWindowed(solver, target, query, cfg, cap, bufs, counter);
-}
+/// What the batched march reads back from one solved lane.
+struct LaneStep {
+  bool ok;
+  std::uint64_t text_consumed;
+  std::uint64_t pattern_consumed;
+};
 
-template <int NW, class Counter>
-int runImprovedDistance(std::string_view target, std::string_view query,
-                        const WindowConfig& cfg, const ImprovedOptions& opts,
-                        int cap, Counter counter) {
-  ImprovedWindowSolver<NW> solver(opts);
-  WindowBuffers bufs;
-  return distanceWindowed(solver, target, query, cfg, cap, bufs, counter);
-}
+/// Lane policy of the distance march: lanes run the counting window
+/// solve, and committed edits add up against each request's cap.
+struct DistanceLanes {
+  const BatchedDistanceRequest* requests;
+  int* results;
+  std::vector<simd::WindowOutcome>& outs;
 
-}  // namespace
-
-common::AlignmentResult alignWindowedBaseline(std::string_view target,
-                                              std::string_view query,
-                                              const WindowConfig& cfg,
-                                              util::MemStats* stats) {
-  const int nw = bitvector::wordsNeeded(cfg.window);
-  auto run = [&](auto counter) -> common::AlignmentResult {
-    switch (nw) {
-      case 1: return runBaseline<1>(target, query, cfg, counter);
-      case 2: return runBaseline<2>(target, query, cfg, counter);
-      case 3: return runBaseline<3>(target, query, cfg, counter);
-      case 4: return runBaseline<4>(target, query, cfg, counter);
-      default: return runBaseline<8>(target, query, cfg, counter);
+  void start(std::size_t r, March& m) const {
+    if (requests[r].cap >= 0) {
+      m.budget = static_cast<std::uint64_t>(requests[r].cap);
     }
-  };
-  if (stats) return run(util::CountingMemCounter(*stats));
-  return run(util::NullMemCounter{});
-}
+  }
+  void solve(simd::SimdBatchSolver& solver,
+             const std::vector<simd::WindowProblem>& probs,
+             WindowedBatchScratch& scratch) const {
+    scratch.ensure(outs, probs.size());
+    solver.solveWindowBatch(genasm::Anchor::StartOnly, probs.data(),
+                            probs.size(), outs.data());
+  }
+  [[nodiscard]] LaneStep step(std::size_t j) const {
+    return {outs[j].ok, outs[j].text_consumed, outs[j].pattern_consumed};
+  }
+  bool commit(std::size_t, std::size_t j, March& m) const {
+    m.acc += outs[j].edits;
+    return m.acc <= m.budget;
+  }
+  bool gap(std::size_t, common::EditOp, std::uint64_t len, March& m) const {
+    m.acc += len;
+    return m.acc <= m.budget;
+  }
+  void finish(std::size_t r, bool ok, const March& m) const {
+    results[r] = ok ? static_cast<int>(m.acc) : -1;
+  }
+};
 
-common::AlignmentResult alignWindowedImproved(std::string_view target,
-                                              std::string_view query,
-                                              const WindowConfig& cfg,
-                                              const ImprovedOptions& opts,
-                                              util::MemStats* stats) {
-  const int nw = bitvector::wordsNeeded(cfg.window);
-  auto run = [&](auto counter) -> common::AlignmentResult {
-    switch (nw) {
-      case 1: return runImproved<1>(target, query, cfg, opts, counter);
-      case 2: return runImproved<2>(target, query, cfg, opts, counter);
-      case 3: return runImproved<3>(target, query, cfg, opts, counter);
-      case 4: return runImproved<4>(target, query, cfg, opts, counter);
-      default: return runImproved<8>(target, query, cfg, opts, counter);
-    }
-  };
-  if (stats) return run(util::CountingMemCounter(*stats));
-  return run(util::NullMemCounter{});
-}
+/// Lane policy of the alignment march: lanes run the full window solve,
+/// and each committed window cigar is appended to its request's result.
+struct AlignLanes {
+  common::AlignmentResult* results;
+  std::vector<genasm::WindowResult>& wrs;
 
-int distanceWindowedBaseline(std::string_view target, std::string_view query,
-                             const WindowConfig& cfg, int cap,
-                             util::MemStats* stats) {
-  const int nw = bitvector::wordsNeeded(cfg.window);
-  auto run = [&](auto counter) -> int {
-    switch (nw) {
-      case 1: return runBaselineDistance<1>(target, query, cfg, cap, counter);
-      case 2: return runBaselineDistance<2>(target, query, cfg, cap, counter);
-      case 3: return runBaselineDistance<3>(target, query, cfg, cap, counter);
-      case 4: return runBaselineDistance<4>(target, query, cfg, cap, counter);
-      default: return runBaselineDistance<8>(target, query, cfg, cap, counter);
-    }
-  };
-  if (stats) return run(util::CountingMemCounter(*stats));
-  return run(util::NullMemCounter{});
-}
+  void start(std::size_t r, March&) const {
+    // In-place reset, preserving cigar capacity, exactly as
+    // alignWindowed()'s fresh AlignmentResult starts out.
+    common::AlignmentResult& out = results[r];
+    out.ok = false;
+    out.edit_distance = -1;
+    out.score = 0;
+    out.cigar.clear();
+  }
+  void solve(simd::SimdBatchSolver& solver,
+             const std::vector<simd::WindowProblem>& probs,
+             WindowedBatchScratch& scratch) const {
+    scratch.ensure(wrs, probs.size());
+    solver.alignBatch(genasm::Anchor::StartOnly, probs.data(), probs.size(),
+                      wrs.data());
+  }
+  [[nodiscard]] LaneStep step(std::size_t j) const {
+    return {wrs[j].ok, wrs[j].cigar.targetLength(),
+            wrs[j].cigar.queryLength()};
+  }
+  bool commit(std::size_t r, std::size_t j, March&) const {
+    results[r].cigar.append(wrs[j].cigar);
+    return true;
+  }
+  bool gap(std::size_t r, common::EditOp op, std::uint64_t len,
+           March&) const {
+    results[r].cigar.push(op, static_cast<std::uint32_t>(len));
+    return true;
+  }
+  void finish(std::size_t r, bool ok, const March&) const {
+    // A failed request keeps ok == false and its partial cigar.
+    if (!ok) return;
+    common::AlignmentResult& out = results[r];
+    out.ok = true;
+    out.edit_distance = static_cast<int>(out.cigar.editDistance());
+    out.score = -out.edit_distance;
+  }
+};
 
-namespace {
-
-/// Build the current window problem for one live request — the shared
-/// cursor-to-window mapping of distanceWindowed()/alignWindowed().
-/// Pre: rem_t > 0 && rem_q > 0.
+/// Build the current window problem for one live request: the cursor-to-
+/// window mapping, final-window text slack included. Pre: rem_t > 0 &&
+/// rem_q > 0.
 simd::WindowProblem currentWindow(const WindowConfig& cfg,
                                   std::string_view target,
-                                  std::string_view query,
-                                  WindowedBatchScratch::March& m) {
+                                  std::string_view query, March& m) {
   const std::size_t W = static_cast<std::size_t>(cfg.window);
+  const std::size_t slack =
+      static_cast<std::size_t>(cfg.textWindow() - cfg.window);
   const std::size_t rem_t = target.size() - m.ti;
   const std::size_t rem_q = query.size() - m.qi;
+  m.is_final = rem_q <= W;
+  const std::size_t q_len = m.is_final ? rem_q : W;
   simd::WindowProblem p;
   p.max_edits = cfg.max_edits;
-  if (rem_q <= W) {
-    m.is_final = true;
-    const std::size_t final_slack =
-        static_cast<std::size_t>(cfg.textWindow() - cfg.window);
-    const std::size_t tw_len = std::min(rem_t, rem_q + final_slack);
-    p.text = target.substr(m.ti, tw_len);
-    p.pattern = query.substr(m.qi, rem_q);
-    p.tb_op_limit = -1;
-  } else {
-    m.is_final = false;
-    const std::size_t tw_len =
-        std::min(rem_t, static_cast<std::size_t>(cfg.textWindow()));
-    p.text = target.substr(m.ti, tw_len);
-    p.pattern = query.substr(m.qi, W);
-    p.tb_op_limit = cfg.window - cfg.overlap;
-  }
+  p.text = target.substr(m.ti, std::min(rem_t, q_len + slack));
+  p.pattern = query.substr(m.qi, q_len);
+  p.tb_op_limit = m.is_final ? -1 : cfg.window - cfg.overlap;
   return p;
 }
 
-}  // namespace
-
-void distanceWindowedBatch(simd::SimdBatchSolver& solver,
-                           const WindowConfig& cfg,
-                           const BatchedDistanceRequest* requests,
-                           std::size_t count, int* results,
-                           WindowedBatchScratch& scratch) {
+/// The batched window march behind alignWindowedBatch() and
+/// distanceWindowedBatch(). Each sweep advances every live request by
+/// exactly one window: the current windows of all live requests are
+/// packed into lanes and solved together, then each lane applies the
+/// march update, with `lanes` deciding what a committed window or a
+/// trailing indel does to the request's result.
+template <class Request, class Lanes>
+void marchWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
+                        const Request* requests, std::size_t count,
+                        const Lanes& lanes, WindowedBatchScratch& scratch) {
   cfg.validate();
 
-  // Per-request march state — distanceWindowed()'s locals, one per lane.
   // Arena capacities (including the per-sweep probs/lane_req push_backs,
   // bounded by count) are sized up front so steady-state marches grow
   // nothing.
@@ -147,25 +147,19 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
   scratch.ensure(scratch.lane_req, count);
   auto& st = scratch.st;
   auto& probs = scratch.probs;
-  auto& outs = scratch.outs;
   auto& lane_req = scratch.lane_req;
 
   std::size_t live = count;
   for (std::size_t r = 0; r < count; ++r) {
-    st[r] = WindowedBatchScratch::March{};
-    st[r].budget = requests[r].cap < 0
-                       ? ~0ULL
-                       : static_cast<std::uint64_t>(requests[r].cap);
+    st[r] = March{};
+    lanes.start(r, st[r]);
   }
-  const auto finish = [&](std::size_t r, int value) {
+  const auto finish = [&](std::size_t r, bool ok) {
     st[r].done = true;
-    results[r] = value;
     --live;
+    lanes.finish(r, ok, st[r]);
   };
 
-  // Each sweep advances every live request by exactly one window: the
-  // current windows of all live requests are packed into lanes and
-  // solved together, then each lane applies the scalar march update.
   while (live > 0) {
     probs.clear();
     lane_req.clear();
@@ -176,52 +170,56 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
       const std::size_t rem_t = target.size() - st[r].ti;
       const std::size_t rem_q = query.size() - st[r].qi;
       if (rem_q == 0) {
-        st[r].acc += rem_t;  // trailing deletions
-        finish(r, st[r].acc > st[r].budget ? -1
-                                           : static_cast<int>(st[r].acc));
+        finish(r, lanes.gap(r, common::EditOp::Deletion, rem_t, st[r]));
         continue;
       }
       if (rem_t == 0) {
-        st[r].acc += rem_q;  // trailing insertions
-        finish(r, st[r].acc > st[r].budget ? -1
-                                           : static_cast<int>(st[r].acc));
+        finish(r, lanes.gap(r, common::EditOp::Insertion, rem_q, st[r]));
         continue;
       }
       probs.push_back(currentWindow(cfg, target, query, st[r]));
       lane_req.push_back(r);
     }
     if (probs.empty()) break;
-    scratch.ensure(outs, probs.size());
-    solver.solveWindowBatch(genasm::Anchor::StartOnly, probs.data(),
-                            probs.size(), outs.data());
+    lanes.solve(solver, probs, scratch);
     for (std::size_t j = 0; j < lane_req.size(); ++j) {
       const std::size_t r = lane_req[j];
-      const simd::WindowOutcome& out = outs[j];
-      WindowedBatchScratch::March& m = st[r];
-      if (!out.ok) {
-        finish(r, -1);
+      March& m = st[r];
+      const LaneStep s = lanes.step(j);
+      if (!s.ok) {
+        finish(r, false);
         continue;
       }
       if (m.is_final) {
-        m.acc += out.edits;
         const std::size_t rem_t = requests[r].target.size() - m.ti;
-        if (out.text_consumed < rem_t) m.acc += rem_t - out.text_consumed;
-        finish(r, m.acc > m.budget ? -1 : static_cast<int>(m.acc));
+        finish(r, lanes.commit(r, j, m) &&
+                      lanes.gap(r, common::EditOp::Deletion,
+                                rem_t - s.text_consumed, m));
         continue;
       }
-      if (out.text_consumed == 0 && out.pattern_consumed == 0) {
-        finish(r, -1);  // defensive: no progress
+      if (s.text_consumed == 0 && s.pattern_consumed == 0) {
+        finish(r, false);  // defensive: no progress
         continue;
       }
-      m.acc += out.edits;
-      if (m.acc > m.budget) {
-        finish(r, -1);  // total >= acc, so the cap is blown
+      if (!lanes.commit(r, j, m)) {
+        finish(r, false);
         continue;
       }
-      m.ti += out.text_consumed;
-      m.qi += out.pattern_consumed;
+      m.ti += s.text_consumed;
+      m.qi += s.pattern_consumed;
     }
   }
+}
+
+}  // namespace
+
+void distanceWindowedBatch(simd::SimdBatchSolver& solver,
+                           const WindowConfig& cfg,
+                           const BatchedDistanceRequest* requests,
+                           std::size_t count, int* results,
+                           WindowedBatchScratch& scratch) {
+  marchWindowedBatch(solver, cfg, requests, count,
+                     DistanceLanes{requests, results, scratch.outs}, scratch);
 }
 
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
@@ -236,104 +234,8 @@ void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
                         const BatchedAlignRequest* requests, std::size_t count,
                         common::AlignmentResult* results,
                         WindowedBatchScratch& scratch) {
-  cfg.validate();
-
-  scratch.ensure(scratch.st, count);
-  scratch.ensure(scratch.probs, count);
-  scratch.ensure(scratch.lane_req, count);
-  auto& st = scratch.st;
-  auto& probs = scratch.probs;
-  auto& wrs = scratch.wrs;
-  auto& lane_req = scratch.lane_req;
-
-  std::size_t live = count;
-  for (std::size_t r = 0; r < count; ++r) {
-    st[r] = WindowedBatchScratch::March{};
-    // In-place reset, preserving cigar capacity, exactly as
-    // alignWindowed()'s fresh AlignmentResult starts out.
-    common::AlignmentResult& out = results[r];
-    out.ok = false;
-    out.edit_distance = -1;
-    out.score = 0;
-    out.cigar.clear();
-  }
-  const auto finishFail = [&](std::size_t r) {
-    st[r].done = true;
-    --live;  // results[r].ok stays false; the partial cigar stands
-  };
-  const auto finishOk = [&](std::size_t r) {
-    st[r].done = true;
-    --live;
-    common::AlignmentResult& out = results[r];
-    out.ok = true;
-    out.edit_distance = static_cast<int>(out.cigar.editDistance());
-    out.score = -out.edit_distance;
-  };
-
-  // Lock-step march, one window per live request per sweep — the same
-  // sweep structure as distanceWindowedBatch, with alignWindowed()'s
-  // commit logic applied per lane.
-  while (live > 0) {
-    probs.clear();
-    lane_req.clear();
-    for (std::size_t r = 0; r < count; ++r) {
-      if (st[r].done) continue;
-      const std::string_view target = requests[r].target;
-      const std::string_view query = requests[r].query;
-      const std::size_t rem_t = target.size() - st[r].ti;
-      const std::size_t rem_q = query.size() - st[r].qi;
-      if (rem_q == 0) {
-        if (rem_t > 0) {
-          results[r].cigar.push(common::EditOp::Deletion,
-                                static_cast<std::uint32_t>(rem_t));
-        }
-        finishOk(r);
-        continue;
-      }
-      if (rem_t == 0) {
-        results[r].cigar.push(common::EditOp::Insertion,
-                              static_cast<std::uint32_t>(rem_q));
-        finishOk(r);
-        continue;
-      }
-      probs.push_back(currentWindow(cfg, target, query, st[r]));
-      lane_req.push_back(r);
-    }
-    if (probs.empty()) break;
-    scratch.ensure(wrs, probs.size());
-    solver.alignBatch(genasm::Anchor::StartOnly, probs.data(), probs.size(),
-                      wrs.data());
-    for (std::size_t j = 0; j < lane_req.size(); ++j) {
-      const std::size_t r = lane_req[j];
-      const genasm::WindowResult& wr = wrs[j];
-      WindowedBatchScratch::March& m = st[r];
-      common::AlignmentResult& out = results[r];
-      if (!wr.ok) {
-        finishFail(r);
-        continue;
-      }
-      if (m.is_final) {
-        out.cigar.append(wr.cigar);
-        const std::size_t rem_t = requests[r].target.size() - m.ti;
-        const std::uint64_t consumed = wr.cigar.targetLength();
-        if (consumed < rem_t) {
-          out.cigar.push(common::EditOp::Deletion,
-                         static_cast<std::uint32_t>(rem_t - consumed));
-        }
-        finishOk(r);
-        continue;
-      }
-      const std::uint64_t tc = wr.cigar.targetLength();
-      const std::uint64_t qc = wr.cigar.queryLength();
-      if (tc == 0 && qc == 0) {
-        finishFail(r);  // defensive: no progress
-        continue;
-      }
-      out.cigar.append(wr.cigar);
-      m.ti += tc;
-      m.qi += qc;
-    }
-  }
+  marchWindowedBatch(solver, cfg, requests, count,
+                     AlignLanes{results, scratch.wrs}, scratch);
 }
 
 void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
@@ -343,27 +245,52 @@ void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
   alignWindowedBatch(solver, cfg, requests, count, results, scratch);
 }
 
+common::AlignmentResult alignWindowedBaseline(std::string_view target,
+                                              std::string_view query,
+                                              const WindowConfig& cfg,
+                                              util::MemStats* stats) {
+  return withWindowSolver<genasm::BaselineWindowSolver>(
+      cfg, stats, [&](auto& solver, auto counter) {
+        return alignWindowed(solver, target, query, cfg, counter);
+      });
+}
+
+common::AlignmentResult alignWindowedImproved(std::string_view target,
+                                              std::string_view query,
+                                              const WindowConfig& cfg,
+                                              const ImprovedOptions& opts,
+                                              util::MemStats* stats) {
+  return withWindowSolver<ImprovedWindowSolver>(
+      cfg, stats,
+      [&](auto& solver, auto counter) {
+        return alignWindowed(solver, target, query, cfg, counter);
+      },
+      opts);
+}
+
+int distanceWindowedBaseline(std::string_view target, std::string_view query,
+                             const WindowConfig& cfg, int cap,
+                             util::MemStats* stats) {
+  return withWindowSolver<genasm::BaselineWindowSolver>(
+      cfg, stats, [&](auto& solver, auto counter) {
+        WindowBuffers bufs;
+        return distanceWindowed(solver, target, query, cfg, cap, bufs,
+                                counter);
+      });
+}
+
 int distanceWindowedImproved(std::string_view target, std::string_view query,
                              const WindowConfig& cfg,
                              const ImprovedOptions& opts, int cap,
                              util::MemStats* stats) {
-  const int nw = bitvector::wordsNeeded(cfg.window);
-  auto run = [&](auto counter) -> int {
-    switch (nw) {
-      case 1:
-        return runImprovedDistance<1>(target, query, cfg, opts, cap, counter);
-      case 2:
-        return runImprovedDistance<2>(target, query, cfg, opts, cap, counter);
-      case 3:
-        return runImprovedDistance<3>(target, query, cfg, opts, cap, counter);
-      case 4:
-        return runImprovedDistance<4>(target, query, cfg, opts, cap, counter);
-      default:
-        return runImprovedDistance<8>(target, query, cfg, opts, cap, counter);
-    }
-  };
-  if (stats) return run(util::CountingMemCounter(*stats));
-  return run(util::NullMemCounter{});
+  return withWindowSolver<ImprovedWindowSolver>(
+      cfg, stats,
+      [&](auto& solver, auto counter) {
+        WindowBuffers bufs;
+        return distanceWindowed(solver, target, query, cfg, cap, bufs,
+                                counter);
+      },
+      opts);
 }
 
 }  // namespace gx::core

@@ -5,14 +5,19 @@
 // text characters. Each window is solved with a free original-text end
 // (lookahead); only the first W-O traceback operations are committed,
 // the cursors advance by what those operations consumed, and the next
-// window starts there. The final window (<= W remaining pattern
-// characters) is solved fully globally so the overall alignment consumes
-// both sequences exactly.
+// window starts there. The final window takes all remaining pattern
+// characters, and text its traceback leaves unconsumed becomes trailing
+// deletions, so the overall alignment consumes both sequences exactly.
 //
-// This driver is generic over the window solver, so the unimproved
-// baseline and the improved algorithm share identical windowing logic —
-// the measured differences (E1-E5) come from the solvers alone.
+// There are two drivers: the scalar march (marchWindowed, generic over
+// the window solver, so the unimproved baseline and the improved
+// algorithm share identical windowing logic — the measured differences
+// (E1-E5) come from the solvers alone) and the batched march, which runs
+// the current windows of many problems in SIMD lanes. Each driver is one
+// march serving both the CIGAR and the capped-distance result; the
+// scalar march is the reference the batched one is tested against.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -70,6 +75,90 @@ struct WindowBuffers {
   genasm::WindowResult wr;
 };
 
+/// marchWindowed() sink that builds the alignment's CIGAR.
+struct CigarSink {
+  common::Cigar& cigar;
+  bool commit(const genasm::WindowResult& wr) {
+    cigar.append(wr.cigar);
+    return true;
+  }
+  bool gap(common::EditOp op, std::uint64_t len) {
+    cigar.push(op, static_cast<std::uint32_t>(len));
+    return true;
+  }
+};
+
+/// marchWindowed() sink that only adds up committed edits. Edits only
+/// accumulate, so it aborts the march as soon as the total provably
+/// exceeds `budget`.
+struct EditCountSink {
+  std::uint64_t edits = 0;
+  std::uint64_t budget = ~0ULL;
+  bool commit(const genasm::WindowResult& wr) {
+    edits += wr.cigar.editDistance();
+    return edits <= budget;
+  }
+  bool gap(common::EditOp, std::uint64_t len) {
+    edits += len;
+    return edits <= budget;
+  }
+};
+
+/// The scalar window march behind alignWindowed() and distanceWindowed().
+/// Each window's committed traceback goes to `sink.commit`, the trailing
+/// indels to `sink.gap`; either returning false aborts the march. Returns
+/// true iff both sequences were consumed, false on a failed window, a
+/// window that made no progress, or a sink abort.
+template <class Solver, class Sink, class Counter = util::NullMemCounter>
+bool marchWindowed(Solver& solver, std::string_view target,
+                   std::string_view query, const WindowConfig& cfg,
+                   WindowBuffers& bufs, Sink& sink,
+                   Counter counter = Counter{}) {
+  cfg.validate();
+  const std::size_t W = static_cast<std::size_t>(cfg.window);
+  const std::size_t slack =
+      static_cast<std::size_t>(cfg.textWindow() - cfg.window);
+  genasm::WindowSpec spec;
+  spec.anchor = genasm::Anchor::StartOnly;
+  spec.max_edits = cfg.max_edits;
+  genasm::WindowResult& wr = bufs.wr;
+  std::size_t ti = 0;
+  std::size_t qi = 0;
+
+  while (true) {
+    const std::size_t rem_t = target.size() - ti;
+    const std::size_t rem_q = query.size() - qi;
+    if (rem_q == 0) return sink.gap(common::EditOp::Deletion, rem_t);
+    if (rem_t == 0) return sink.gap(common::EditOp::Insertion, rem_q);
+
+    // Final window: the remaining pattern against a text tail, solved in
+    // the same free-text-end mode as mid-read windows so the DP working
+    // set stays steady-state sized (k <= W levels; a fully global final
+    // solve would need k up to n+m). The pattern is fully consumed;
+    // whatever text the traceback leaves unconsumed becomes trailing
+    // deletions, which is also where a global alignment would spend them
+    // on well-sized candidates.
+    const bool is_final = rem_q <= W;
+    const std::size_t q_len = is_final ? rem_q : W;
+    spec.tb_op_limit = is_final ? -1 : cfg.window - cfg.overlap;
+    common::reverseInto(bufs.t_rev,
+                        target.substr(ti, std::min(rem_t, q_len + slack)));
+    common::reverseInto(bufs.q_rev, query.substr(qi, q_len));
+    solver.solve(bufs.t_rev, bufs.q_rev, spec, wr, counter);
+    if (!wr.ok) return false;
+    const std::uint64_t tc = wr.cigar.targetLength();
+    if (is_final) {
+      return sink.commit(wr) &&
+             sink.gap(common::EditOp::Deletion, rem_t - tc);
+    }
+    const std::uint64_t qc = wr.cigar.queryLength();
+    if (tc == 0 && qc == 0) return false;  // defensive: no progress
+    if (!sink.commit(wr)) return false;
+    ti += tc;
+    qi += qc;
+  }
+}
+
 /// Align query against target using `solver` for each window.
 /// Solver must provide solve(text_rev, pattern_rev, spec, out, counter)
 /// handling patterns up to cfg.window characters.
@@ -79,80 +168,12 @@ common::AlignmentResult alignWindowed(Solver& solver, std::string_view target,
                                       const WindowConfig& cfg,
                                       WindowBuffers& bufs,
                                       Counter counter = Counter{}) {
-  cfg.validate();
   common::AlignmentResult out;
-  const std::size_t W = static_cast<std::size_t>(cfg.window);
-  std::size_t ti = 0;
-  std::size_t qi = 0;
-
-  std::string& t_rev = bufs.t_rev;
-  std::string& q_rev = bufs.q_rev;
-  genasm::WindowResult& wr = bufs.wr;
-
-  // Window specs are loop-invariant; build them once.
-  genasm::WindowSpec mid_spec;
-  mid_spec.anchor = genasm::Anchor::StartOnly;
-  mid_spec.max_edits = cfg.max_edits;
-  mid_spec.tb_op_limit = cfg.window - cfg.overlap;
-  genasm::WindowSpec final_spec;
-  final_spec.anchor = genasm::Anchor::StartOnly;
-  final_spec.max_edits = cfg.max_edits;
-
-  while (true) {
-    const std::size_t rem_t = target.size() - ti;
-    const std::size_t rem_q = query.size() - qi;
-    if (rem_q == 0) {
-      if (rem_t > 0) {
-        out.cigar.push(common::EditOp::Deletion,
-                       static_cast<std::uint32_t>(rem_t));
-      }
-      break;
-    }
-    if (rem_t == 0) {
-      out.cigar.push(common::EditOp::Insertion,
-                     static_cast<std::uint32_t>(rem_q));
-      break;
-    }
-
-    if (rem_q <= W) {
-      // Final window: the remaining pattern against a text tail, solved
-      // in the same free-text-end mode as mid-read windows so the DP
-      // working set stays steady-state sized (k <= W levels; a fully
-      // global final solve would need k up to n+m). The pattern is fully
-      // consumed; whatever text the traceback leaves unconsumed becomes
-      // trailing deletions, which is also where a global alignment would
-      // spend them on well-sized candidates.
-      const std::size_t tw_len =
-          std::min(rem_t, rem_q + static_cast<std::size_t>(
-                                      cfg.textWindow() - cfg.window));
-      common::reverseInto(t_rev, target.substr(ti, tw_len));
-      common::reverseInto(q_rev, query.substr(qi, rem_q));
-      solver.solve(t_rev, q_rev, final_spec, wr, counter);
-      if (!wr.ok) return out;  // out.ok == false
-      out.cigar.append(wr.cigar);
-      const std::uint64_t consumed = wr.cigar.targetLength();
-      if (consumed < rem_t) {
-        out.cigar.push(common::EditOp::Deletion,
-                       static_cast<std::uint32_t>(rem_t - consumed));
-      }
-      break;
-    }
-
-    // Mid-read window.
-    const std::size_t tw_len =
-        std::min(rem_t, static_cast<std::size_t>(cfg.textWindow()));
-    common::reverseInto(t_rev, target.substr(ti, tw_len));
-    common::reverseInto(q_rev, query.substr(qi, W));
-    solver.solve(t_rev, q_rev, mid_spec, wr, counter);
-    if (!wr.ok) return out;
-    const std::uint64_t tc = wr.cigar.targetLength();
-    const std::uint64_t qc = wr.cigar.queryLength();
-    if (tc == 0 && qc == 0) return out;  // defensive: no progress
-    out.cigar.append(wr.cigar);
-    ti += tc;
-    qi += qc;
+  CigarSink sink{out.cigar};
+  // A failed march returns ok == false with the partial cigar.
+  if (!marchWindowed(solver, target, query, cfg, bufs, sink, counter)) {
+    return out;
   }
-
   out.ok = true;
   out.edit_distance = static_cast<int>(out.cigar.editDistance());
   out.score = -out.edit_distance;
@@ -169,82 +190,24 @@ common::AlignmentResult alignWindowed(Solver& solver, std::string_view target,
   return alignWindowed(solver, target, query, cfg, bufs, counter);
 }
 
-/// Windowed edit distance with an exact result cap. Mirrors
-/// alignWindowed() window for window — the per-window solves and their
-/// tracebacks are identical (the windowing heuristic needs each window's
-/// committed operations to advance its cursors), only the output cigar is
-/// never accumulated. `cap` makes candidate scoring cheap: edits only
-/// accumulate, so the march aborts as soon as the committed total
-/// provably exceeds the cap. Returns the distance alignWindowed()'s
-/// result would report when it is <= cap (or cap < 0), else -1; also -1
-/// whenever alignWindowed() would fail (ok == false).
+/// Windowed edit distance with an exact result cap: the alignWindowed()
+/// march (each window's committed operations advance the cursors), with
+/// edits counted instead of a cigar built. `cap` makes candidate scoring
+/// cheap: the march aborts as soon as the committed total provably
+/// exceeds it. Returns the distance alignWindowed()'s result would report
+/// when it is <= cap (or cap < 0), else -1; also -1 whenever
+/// alignWindowed() would fail (ok == false).
 template <class Solver, class Counter = util::NullMemCounter>
 int distanceWindowed(Solver& solver, std::string_view target,
                      std::string_view query, const WindowConfig& cfg,
                      int cap, WindowBuffers& bufs,
                      Counter counter = Counter{}) {
-  cfg.validate();
-  const std::size_t W = static_cast<std::size_t>(cfg.window);
-  std::size_t ti = 0;
-  std::size_t qi = 0;
-  std::uint64_t acc = 0;  // committed edits so far; only ever grows
-  const std::uint64_t budget =
-      cap < 0 ? ~0ULL : static_cast<std::uint64_t>(cap);
-
-  std::string& t_rev = bufs.t_rev;
-  std::string& q_rev = bufs.q_rev;
-  genasm::WindowResult& wr = bufs.wr;
-
-  genasm::WindowSpec mid_spec;
-  mid_spec.anchor = genasm::Anchor::StartOnly;
-  mid_spec.max_edits = cfg.max_edits;
-  mid_spec.tb_op_limit = cfg.window - cfg.overlap;
-  genasm::WindowSpec final_spec;
-  final_spec.anchor = genasm::Anchor::StartOnly;
-  final_spec.max_edits = cfg.max_edits;
-
-  while (true) {
-    const std::size_t rem_t = target.size() - ti;
-    const std::size_t rem_q = query.size() - qi;
-    if (rem_q == 0) {
-      acc += rem_t;  // trailing deletions
-      break;
-    }
-    if (rem_t == 0) {
-      acc += rem_q;  // trailing insertions
-      break;
-    }
-
-    if (rem_q <= W) {
-      const std::size_t tw_len =
-          std::min(rem_t, rem_q + static_cast<std::size_t>(
-                                      cfg.textWindow() - cfg.window));
-      common::reverseInto(t_rev, target.substr(ti, tw_len));
-      common::reverseInto(q_rev, query.substr(qi, rem_q));
-      solver.solve(t_rev, q_rev, final_spec, wr, counter);
-      if (!wr.ok) return -1;
-      acc += wr.cigar.editDistance();
-      const std::uint64_t consumed = wr.cigar.targetLength();
-      if (consumed < rem_t) acc += rem_t - consumed;
-      break;
-    }
-
-    const std::size_t tw_len =
-        std::min(rem_t, static_cast<std::size_t>(cfg.textWindow()));
-    common::reverseInto(t_rev, target.substr(ti, tw_len));
-    common::reverseInto(q_rev, query.substr(qi, W));
-    solver.solve(t_rev, q_rev, mid_spec, wr, counter);
-    if (!wr.ok) return -1;
-    const std::uint64_t tc = wr.cigar.targetLength();
-    const std::uint64_t qc = wr.cigar.queryLength();
-    if (tc == 0 && qc == 0) return -1;  // defensive: no progress
-    acc += wr.cigar.editDistance();
-    if (acc > budget) return -1;  // total >= acc, so the cap is blown
-    ti += tc;
-    qi += qc;
+  EditCountSink sink;
+  if (cap >= 0) sink.budget = static_cast<std::uint64_t>(cap);
+  if (!marchWindowed(solver, target, query, cfg, bufs, sink, counter)) {
+    return -1;
   }
-  if (acc > budget) return -1;
-  return static_cast<int>(acc);
+  return static_cast<int>(sink.edits);
 }
 
 /// One capped windowed-distance problem for the batched march (original
@@ -268,7 +231,8 @@ struct BatchedAlignRequest {
 /// events, mirroring SimdBatchSolver::scratchAllocs(), and the bench
 /// asserts both stay flat at steady state.
 struct WindowedBatchScratch {
-  /// distanceWindowed()/alignWindowed()'s loop locals, one per request.
+  /// One request's march state: cursors, committed edits (distance
+  /// march) against the cap's budget, and the current window's kind.
   struct March {
     std::size_t ti = 0;
     std::size_t qi = 0;
@@ -307,7 +271,7 @@ struct WindowedBatchScratch {
 /// problem's own windows stay sequential, as the stitching requires).
 /// results[i] equals distanceWindowed(solver, target, query, cfg, cap)
 /// for both GenASM window solvers: per-window solves are bit-identical
-/// (see SimdBatchSolver) and the march logic is the same, so capped
+/// (see SimdBatchSolver) and the march rules are the same, so capped
 /// kills and no-progress aborts fire at exactly the same windows.
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const WindowConfig& cfg,
@@ -321,9 +285,9 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const BatchedDistanceRequest* requests,
                            std::size_t count, int* results);
 
-/// Batched counterpart of alignWindowed(): the same lock-step march as
-/// distanceWindowedBatch, but each lane's committed window cigars are
-/// accumulated, so results[i] — ok, cigar, edit_distance, score — is
+/// Batched counterpart of alignWindowed(): the march behind
+/// distanceWindowedBatch, with each lane's committed window cigars
+/// accumulated instead of counted, so results[i] — ok, cigar, edit_distance, score — is
 /// bit-identical to alignWindowed(solver, target, query, cfg) with the
 /// matching scalar solver. Results are reset in place (cigar capacity
 /// preserved), so reusing a results arena allocates nothing at steady

@@ -11,6 +11,26 @@ namespace {
 /// do not depend on chunking.
 constexpr std::size_t kMinChunkTasks = 4;
 
+// The per-result-kind calls of AlignmentEngine::runBatch, overloaded on
+// the task type.
+void runTasks(Aligner& aligner, const AlignmentTask* tasks, std::size_t count,
+              common::AlignmentResult* results) {
+  aligner.alignBatch(tasks, count, results);
+}
+
+void runTasks(Aligner& aligner, const DistanceTask* tasks, std::size_t count,
+              int* results) {
+  aligner.distanceBatch(tasks, count, results);
+}
+
+common::AlignmentResult runTask(Aligner& aligner, const AlignmentTask& task) {
+  return aligner.align(task.target, task.query);
+}
+
+int runTask(Aligner& aligner, const DistanceTask& task) {
+  return aligner.distance(task.target, task.query, task.cap);
+}
+
 }  // namespace
 
 AlignmentEngine::AlignmentEngine(EngineConfig cfg)
@@ -57,10 +77,11 @@ void AlignmentEngine::releaseAligner(AlignerPtr aligner) {
   spares_.push_back(std::move(aligner));
 }
 
-std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
-    const std::vector<AlignmentTask>& tasks,
+template <class Task, class Result>
+std::vector<Result> AlignmentEngine::runBatch(
+    const std::vector<Task>& tasks, const Result& none,
     std::vector<unsigned char>* failed) {
-  std::vector<common::AlignmentResult> results(tasks.size());
+  std::vector<Result> results(tasks.size(), none);
   if (failed != nullptr) failed->assign(tasks.size(), 0);
   pool_.parallel_for(tasks.size(), [&](std::size_t begin, std::size_t end) {
     // One checked-out aligner per chunk: solver scratch amortizes across
@@ -70,8 +91,8 @@ std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
     {
       AlignerLease aligner(*this);
       try {
-        aligner->alignBatch(tasks.data() + begin, end - begin,
-                            results.data() + begin);
+        runTasks(*aligner, tasks.data() + begin, end - begin,
+                 results.data() + begin);
         return;
       } catch (...) {
         // The batched call died somewhere inside the chunk and may have
@@ -87,12 +108,13 @@ std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
     // tasks is healthy and joins the spare pool.
     AlignerPtr solo;
     for (std::size_t i = begin; i < end; ++i) {
+      results[i] = none;  // the batched call may have part-filled the chunk
       try {
         if (!solo) solo = makeAligner(cfg_.backend, cfg_.aligner);
-        results[i] = solo->align(tasks[i].target, tasks[i].query);
+        results[i] = runTask(*solo, tasks[i]);
       } catch (...) {
         solo.reset();  // scratch state unknown after the throw
-        results[i] = common::AlignmentResult{};  // ok == false
+        results[i] = none;
         if (failed != nullptr) (*failed)[i] = 1;
         task_failures_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -102,42 +124,16 @@ std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
   return results;
 }
 
+std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
+    const std::vector<AlignmentTask>& tasks,
+    std::vector<unsigned char>* failed) {
+  return runBatch(tasks, common::AlignmentResult{}, failed);
+}
+
 std::vector<int> AlignmentEngine::distanceBatch(
     const std::vector<DistanceTask>& tasks,
     std::vector<unsigned char>* failed) {
-  std::vector<int> results(tasks.size(), -1);
-  if (failed != nullptr) failed->assign(tasks.size(), 0);
-  pool_.parallel_for(tasks.size(), [&](std::size_t begin, std::size_t end) {
-    {
-      AlignerLease aligner(*this);
-      try {
-        aligner->distanceBatch(tasks.data() + begin, end - begin,
-                               results.data() + begin);
-        return;
-      } catch (...) {
-        aligner.poison();
-        batch_faults_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // Same per-task isolation as alignBatch; a failed task keeps the -1
-    // ("no alignment") the result vector was seeded with.
-    AlignerPtr solo;
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = -1;  // the batched call may have part-filled the chunk
-      try {
-        if (!solo) solo = makeAligner(cfg_.backend, cfg_.aligner);
-        results[i] = solo->distance(tasks[i].target, tasks[i].query,
-                                    tasks[i].cap);
-      } catch (...) {
-        solo.reset();
-        results[i] = -1;
-        if (failed != nullptr) (*failed)[i] = 1;
-        task_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (solo) releaseAligner(std::move(solo));
-  }, kMinChunkTasks);
-  return results;
+  return runBatch(tasks, -1, failed);
 }
 
 std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(

@@ -135,6 +135,15 @@ class AlignmentEngine {
   [[nodiscard]] AlignerPtr acquireAligner();
   void releaseAligner(AlignerPtr aligner);
 
+  /// The chunk runner behind alignBatch and distanceBatch: each worker
+  /// chunk goes through one leased aligner's batched entry; a chunk whose
+  /// batched call throws is re-run task by task on fresh aligners, and a
+  /// task that fails even alone keeps `none` and is flagged in *failed.
+  template <class Task, class Result>
+  [[nodiscard]] std::vector<Result> runBatch(
+      const std::vector<Task>& tasks, const Result& none,
+      std::vector<unsigned char>* failed);
+
   EngineConfig cfg_;
   util::ThreadPool pool_;
   std::mutex spares_mu_;

@@ -22,46 +22,10 @@ using common::AlignmentResult;
 // queries silently switch to the windowed driver with the same config.
 constexpr std::size_t kGlobalGenasmMax = bitvector::BitVec<8>::kBits;
 
-/// Run fn with the bit-width as an integral_constant, so a runtime
-/// wordsNeeded() value selects the right solver instantiation.
-template <class Fn>
-decltype(auto) withWidth(int nw, Fn&& fn) {
-  switch (nw) {
-    case 1: return fn(std::integral_constant<int, 1>{});
-    case 2: return fn(std::integral_constant<int, 2>{});
-    case 3: return fn(std::integral_constant<int, 3>{});
-    case 4: return fn(std::integral_constant<int, 4>{});
-    case 5: return fn(std::integral_constant<int, 5>{});
-    case 6: return fn(std::integral_constant<int, 6>{});
-    case 7: return fn(std::integral_constant<int, 7>{});
-    default: return fn(std::integral_constant<int, 8>{});
-  }
-}
-
-/// Lazily-constructed per-bit-width solver instances. Each aligner owns
-/// one, so solver scratch arenas persist across align()/distance() calls
-/// — this is the per-worker reuse AlignmentEngine's spare pool relies on.
-template <template <int> class S>
-struct PerWidthSolvers {
-  std::tuple<std::unique_ptr<S<1>>, std::unique_ptr<S<2>>,
-             std::unique_ptr<S<3>>, std::unique_ptr<S<4>>,
-             std::unique_ptr<S<5>>, std::unique_ptr<S<6>>,
-             std::unique_ptr<S<7>>, std::unique_ptr<S<8>>>
-      slots;
-
-  template <int NW, class... Args>
-  S<NW>& get(Args&&... args) {
-    auto& p = std::get<NW - 1>(slots);
-    if (!p) p = std::make_unique<S<NW>>(std::forward<Args>(args)...);
-    return *p;
-  }
-};
-
 /// Per-aligner arenas for the batched GenASM routing: the global-vs-
 /// march task split, result staging, and the march's own scratch. Owned
 /// by each GenASM aligner instance, so steady-state batches through the
-/// engine's spare-pooled workers grow nothing (allocs() counts growth
-/// events; the bench asserts it stays flat).
+/// engine's spare-pooled workers grow nothing.
 struct GenasmBatchScratch {
   std::vector<simd::WindowProblem> globals;
   std::vector<std::size_t> global_idx;
@@ -73,343 +37,219 @@ struct GenasmBatchScratch {
   std::vector<common::AlignmentResult> aligns;  ///< march align staging
   core::WindowedBatchScratch march;
 
-  [[nodiscard]] std::uint64_t allocs() const noexcept {
-    return grow_events_ + march.allocs();
-  }
-
+  /// Grow-only resize.
   template <class T>
-  void ensure(std::vector<T>& buf, std::size_t n) {
-    if (buf.capacity() < n) ++grow_events_;
+  static void ensure(std::vector<T>& buf, std::size_t n) {
     if (buf.size() < n) buf.resize(n);
   }
-
- private:
-  std::uint64_t grow_events_ = 0;
 };
 
-/// Shared batched-distance routing for the GenASM backends. Tasks whose
-/// query fits a single global window go through the lane-parallel
-/// distance kernel (solveDistanceBatch == scalar solveDistance per
-/// lane); the rest march through core::distanceWindowedBatch, which
-/// packs the current windows of all live tasks into lanes. The
-/// windowed-* backends always march, mirroring their scalar distance().
-/// Results are identical to the scalar per-task loop in every case.
-void genasmDistanceBatch(simd::SimdBatchSolver& solver,
-                         const core::WindowConfig& wcfg, int max_edits,
-                         bool windowed_only, const DistanceTask* tasks,
-                         std::size_t count, int* results,
-                         GenasmBatchScratch& sc) {
+// The per-result-kind steps of genasmBatch, overloaded on the task type.
+
+/// The global window problem for one task. A distance task's result cap
+/// is folded into the level cap, as distanceGlobalWith does: hopeless
+/// problems stop at cap+1 levels.
+simd::WindowProblem globalProblem(const DistanceTask& t, int max_edits) {
+  int k = max_edits >= 0
+              ? max_edits
+              : genasm::autoEditCap(static_cast<int>(t.target.size()),
+                                    static_cast<int>(t.query.size()),
+                                    genasm::Anchor::BothEnds);
+  if (t.cap >= 0 && t.cap < k) k = t.cap;
+  return {t.target, t.query, k, -1};
+}
+
+simd::WindowProblem globalProblem(const AlignmentTask& t, int max_edits) {
+  return {t.target, t.query, max_edits, -1};
+}
+
+/// Solve sc.globals on the lane solver into results[sc.global_idx[j]]:
+/// solveDistanceBatch == scalar solveDistance per lane, alignBatch ==
+/// alignGlobalWith per lane, cigar included.
+void solveGlobals(simd::SimdBatchSolver& solver, GenasmBatchScratch& sc,
+                  int* results) {
+  sc.ensure(sc.ints, sc.globals.size());
+  solver.solveDistanceBatch(genasm::Anchor::BothEnds, sc.globals.data(),
+                            sc.globals.size(), sc.ints.data());
+  for (std::size_t j = 0; j < sc.global_idx.size(); ++j) {
+    results[sc.global_idx[j]] = sc.ints[j];
+  }
+}
+
+void solveGlobals(simd::SimdBatchSolver& solver, GenasmBatchScratch& sc,
+                  AlignmentResult* results) {
+  sc.ensure(sc.wrs, sc.globals.size());
+  solver.alignBatch(genasm::Anchor::BothEnds, sc.globals.data(),
+                    sc.globals.size(), sc.wrs.data());
+  for (std::size_t j = 0; j < sc.global_idx.size(); ++j) {
+    const genasm::WindowResult& wr = sc.wrs[j];
+    AlignmentResult& out = results[sc.global_idx[j]];
+    out.ok = wr.ok;
+    out.edit_distance = wr.ok ? wr.distance : -1;
+    out.score = wr.ok ? -wr.distance : 0;
+    out.cigar.clear();
+    if (wr.ok) out.cigar = wr.cigar;
+  }
+}
+
+/// March tasks[sc.march_idx[j]] through the batched window march into
+/// results[sc.march_idx[j]].
+void marchTasks(simd::SimdBatchSolver& solver, const core::WindowConfig& wcfg,
+                const DistanceTask* tasks, GenasmBatchScratch& sc,
+                int* results) {
+  sc.ensure(sc.d_marches, sc.march_idx.size());
+  sc.ensure(sc.ints, sc.march_idx.size());
+  sc.d_marches.clear();
+  for (const std::size_t i : sc.march_idx) {
+    sc.d_marches.push_back({tasks[i].target, tasks[i].query, tasks[i].cap});
+  }
+  core::distanceWindowedBatch(solver, wcfg, sc.d_marches.data(),
+                              sc.d_marches.size(), sc.ints.data(), sc.march);
+  for (std::size_t j = 0; j < sc.march_idx.size(); ++j) {
+    results[sc.march_idx[j]] = sc.ints[j];
+  }
+}
+
+void marchTasks(simd::SimdBatchSolver& solver, const core::WindowConfig& wcfg,
+                const AlignmentTask* tasks, GenasmBatchScratch& sc,
+                AlignmentResult* results) {
+  sc.ensure(sc.a_marches, sc.march_idx.size());
+  sc.ensure(sc.aligns, sc.march_idx.size());
+  sc.a_marches.clear();
+  for (const std::size_t i : sc.march_idx) {
+    sc.a_marches.push_back({tasks[i].target, tasks[i].query});
+  }
+  core::alignWindowedBatch(solver, wcfg, sc.a_marches.data(),
+                           sc.a_marches.size(), sc.aligns.data(), sc.march);
+  for (std::size_t j = 0; j < sc.march_idx.size(); ++j) {
+    results[sc.march_idx[j]] = sc.aligns[j];
+  }
+}
+
+/// Shared batched routing for the GenASM backends. Tasks whose non-empty
+/// query fits a single global window go through the lane solver's global
+/// kernels; the rest — every task, for the windowed-* backends — march
+/// through the core batched window march, which packs the current windows
+/// of all live tasks into lanes. The march also takes empty queries: its
+/// trailing-deletion result equals the global solvers' degenerate case.
+/// results[i] equals the backend's scalar align()/distance() of tasks[i].
+template <class Task, class Result>
+void genasmBatch(simd::SimdBatchSolver& solver, const AlignerConfig& cfg,
+                 bool windowed_only, const Task* tasks, std::size_t count,
+                 Result* results, GenasmBatchScratch& sc) {
   // Capacity for the split is bounded by count; clear() preserves it, so
   // the push_backs below never reallocate once the arena is warm.
   sc.ensure(sc.globals, count);
   sc.ensure(sc.global_idx, count);
-  sc.ensure(sc.d_marches, count);
   sc.ensure(sc.march_idx, count);
   sc.globals.clear();
   sc.global_idx.clear();
-  sc.d_marches.clear();
   sc.march_idx.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    const DistanceTask& t = tasks[i];
-    if (windowed_only || t.query.size() > kGlobalGenasmMax) {
-      sc.d_marches.push_back({t.target, t.query, t.cap});
+    const std::string_view q = tasks[i].query;
+    if (windowed_only || q.empty() || q.size() > kGlobalGenasmMax) {
       sc.march_idx.push_back(i);
       continue;
     }
-    if (t.query.empty()) {
-      // distanceGlobalWith's degenerate case: delete the whole target.
-      const int d = static_cast<int>(t.target.size());
-      results[i] = (t.cap >= 0 && d > t.cap) ? -1 : d;
-      continue;
-    }
-    // Fold the result cap into the level cap, as distanceGlobalWith does:
-    // hopeless problems stop at cap+1 levels.
-    int k = max_edits >= 0
-                ? max_edits
-                : genasm::autoEditCap(static_cast<int>(t.target.size()),
-                                      static_cast<int>(t.query.size()),
-                                      genasm::Anchor::BothEnds);
-    if (t.cap >= 0 && t.cap < k) k = t.cap;
-    sc.globals.push_back({t.target, t.query, k, -1});
+    sc.globals.push_back(globalProblem(tasks[i], cfg.max_edits));
     sc.global_idx.push_back(i);
   }
-  if (!sc.globals.empty()) {
-    sc.ensure(sc.ints, sc.globals.size());
-    solver.solveDistanceBatch(genasm::Anchor::BothEnds, sc.globals.data(),
-                              sc.globals.size(), sc.ints.data());
-    for (std::size_t j = 0; j < sc.global_idx.size(); ++j) {
-      results[sc.global_idx[j]] = sc.ints[j];
-    }
-  }
-  if (!sc.d_marches.empty()) {
-    sc.ensure(sc.ints, sc.d_marches.size());
-    core::distanceWindowedBatch(solver, wcfg, sc.d_marches.data(),
-                                sc.d_marches.size(), sc.ints.data(), sc.march);
-    for (std::size_t j = 0; j < sc.march_idx.size(); ++j) {
-      results[sc.march_idx[j]] = sc.ints[j];
-    }
+  if (!sc.globals.empty()) solveGlobals(solver, sc, results);
+  if (!sc.march_idx.empty()) {
+    marchTasks(solver, cfg.window, tasks, sc, results);
   }
 }
 
-/// Batched-alignment routing, mirroring genasmDistanceBatch: global
-/// problems run on the lane solver's alignBatch (== alignGlobalWith per
-/// lane, cigar included), the rest — everything, for the windowed-*
-/// backends — march through core::alignWindowedBatch. results[i] is
-/// bit-identical to the backend's scalar align(tasks[i]) in every case.
-void genasmAlignBatch(simd::SimdBatchSolver& solver,
-                      const core::WindowConfig& wcfg, int max_edits,
-                      bool windowed_only, const AlignmentTask* tasks,
-                      std::size_t count, AlignmentResult* results,
-                      GenasmBatchScratch& sc) {
-  sc.ensure(sc.globals, count);
-  sc.ensure(sc.global_idx, count);
-  sc.ensure(sc.a_marches, count);
-  sc.ensure(sc.march_idx, count);
-  sc.globals.clear();
-  sc.global_idx.clear();
-  sc.a_marches.clear();
-  sc.march_idx.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const AlignmentTask& t = tasks[i];
-    if (windowed_only || t.query.size() > kGlobalGenasmMax) {
-      sc.a_marches.push_back({t.target, t.query});
-      sc.march_idx.push_back(i);
-      continue;
+/// The GenASM backends. `Solver` is the baseline or improved window
+/// solver; kGlobalUpTo512 selects the global backends, which solve a
+/// query of up to 512 bp as one global window and march longer ones,
+/// while the windowed-* backends always march.
+template <template <int> class Solver, bool kGlobalUpTo512>
+class GenasmAligner final : public Aligner {
+ public:
+  // Window geometry is validated up front: the march would otherwise
+  // surface the validate() throw from a worker thread.
+  GenasmAligner(const AlignerConfig& cfg, std::string_view name)
+      : cfg_(cfg), name_(name) {
+    cfg_.window.validate();
+  }
+  AlignmentResult align(std::string_view t, std::string_view q) override {
+    if (isGlobal(q)) {
+      return withSolver(q.size(), [&](auto& solver) {
+        return genasm::alignGlobalWith(solver, bufs_.t_rev, bufs_.q_rev, t,
+                                       q, cfg_.max_edits);
+      });
     }
-    AlignmentResult& out = results[i];
-    out.ok = false;
-    out.edit_distance = -1;
-    out.score = 0;
-    out.cigar.clear();
-    if (t.query.empty()) {
-      // alignGlobalWith's degenerate case: delete the whole target.
-      out.ok = true;
-      out.edit_distance = static_cast<int>(t.target.size());
-      out.score = -out.edit_distance;
-      if (!t.target.empty()) {
-        out.cigar.push(common::EditOp::Deletion,
-                       static_cast<std::uint32_t>(t.target.size()));
+    return withSolver(cfg_.window.window, [&](auto& solver) {
+      return core::alignWindowed(solver, t, q, cfg_.window, bufs_);
+    });
+  }
+  int distance(std::string_view t, std::string_view q, int cap) override {
+    if (isGlobal(q)) {
+      return withSolver(q.size(), [&](auto& solver) {
+        return genasm::distanceGlobalWith(solver, bufs_.t_rev, bufs_.q_rev,
+                                          t, q, cfg_.max_edits, cap);
+      });
+    }
+    return withSolver(cfg_.window.window, [&](auto& solver) {
+      return core::distanceWindowed(solver, t, q, cfg_.window, cap, bufs_);
+    });
+  }
+  void distanceBatch(const DistanceTask* tasks, std::size_t count,
+                     int* results) override {
+    genasmBatch(simd_, cfg_, !kGlobalUpTo512, tasks, count, results, batch_);
+  }
+  void alignBatch(const AlignmentTask* tasks, std::size_t count,
+                  AlignmentResult* results) override {
+    genasmBatch(simd_, cfg_, !kGlobalUpTo512, tasks, count, results, batch_);
+  }
+  std::string_view name() const noexcept override { return name_; }
+
+ private:
+  static bool isGlobal(std::string_view q) noexcept {
+    return kGlobalUpTo512 && q.size() <= kGlobalGenasmMax;
+  }
+
+  /// Run fn on this aligner's solver for `pattern_len` characters. Each
+  /// width's solver is built on first use and kept, so its scratch arenas
+  /// persist across calls — the per-worker reuse AlignmentEngine's spare
+  /// pool relies on.
+  template <class Fn>
+  decltype(auto) withSolver(std::size_t pattern_len, Fn&& fn) {
+    const int nw = bitvector::wordsNeeded(static_cast<int>(pattern_len));
+    return bitvector::withWidth(nw, [&](auto w) {
+      auto& slot = std::get<w() - 1>(solvers_);
+      if (!slot) {
+        if constexpr (std::is_constructible_v<Solver<w()>,
+                                              core::ImprovedOptions>) {
+          slot = std::make_unique<Solver<w()>>(cfg_.improved);
+        } else {
+          slot = std::make_unique<Solver<w()>>();
+        }
       }
-      continue;
-    }
-    sc.globals.push_back({t.target, t.query, max_edits, -1});
-    sc.global_idx.push_back(i);
+      return fn(*slot);
+    });
   }
-  if (!sc.globals.empty()) {
-    sc.ensure(sc.wrs, sc.globals.size());
-    solver.alignBatch(genasm::Anchor::BothEnds, sc.globals.data(),
-                      sc.globals.size(), sc.wrs.data());
-    for (std::size_t j = 0; j < sc.global_idx.size(); ++j) {
-      const genasm::WindowResult& wr = sc.wrs[j];
-      AlignmentResult& out = results[sc.global_idx[j]];
-      out.ok = false;
-      out.edit_distance = -1;
-      out.score = 0;
-      out.cigar.clear();
-      if (!wr.ok) continue;
-      out.ok = true;
-      out.edit_distance = wr.distance;
-      out.score = -wr.distance;
-      out.cigar = wr.cigar;
-    }
-  }
-  if (!sc.a_marches.empty()) {
-    sc.ensure(sc.aligns, sc.a_marches.size());
-    core::alignWindowedBatch(solver, wcfg, sc.a_marches.data(),
-                             sc.a_marches.size(), sc.aligns.data(), sc.march);
-    for (std::size_t j = 0; j < sc.march_idx.size(); ++j) {
-      results[sc.march_idx[j]] = sc.aligns[j];
-    }
-  }
+
+  template <int... NW>
+  using Slots = std::tuple<std::unique_ptr<Solver<NW>>...>;
+
+  AlignerConfig cfg_;
+  std::string_view name_;
+  Slots<1, 2, 3, 4, 5, 6, 7, 8> solvers_;
+  core::WindowBuffers bufs_;
+  simd::SimdBatchSolver simd_;
+  GenasmBatchScratch batch_;
+};
+
+/// Registry factory for one GenASM backend; `name` must outlive every
+/// aligner it creates (the registry passes string literals).
+template <template <int> class Solver, bool kGlobalUpTo512>
+AlignerRegistry::Factory genasmFactory(std::string_view name) {
+  return [name](const AlignerConfig& cfg) -> AlignerPtr {
+    return std::make_unique<GenasmAligner<Solver, kGlobalUpTo512>>(cfg, name);
+  };
 }
-
-class GlobalBaselineAligner final : public Aligner {
- public:
-  // Window geometry is validated up front: the >512 bp fallback would
-  // otherwise surface the validate() throw from a worker thread.
-  explicit GlobalBaselineAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::alignGlobalWith(solvers_.template get<nw()>(),
-                                           bufs_.t_rev, bufs_.q_rev, t, q,
-                                           cfg_.max_edits);
-          });
-    }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(), t, q,
-                                 cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::distanceGlobalWith(solvers_.template get<nw()>(),
-                                              bufs_.t_rev, bufs_.q_rev, t, q,
-                                              cfg_.max_edits, cap);
-          });
-    }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(), t, q,
-                                    cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/false, tasks, count, results,
-                        batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/false, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override { return "baseline"; }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<genasm::BaselineWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
-
-class GlobalImprovedAligner final : public Aligner {
- public:
-  explicit GlobalImprovedAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::alignGlobalWith(
-                solvers_.template get<nw()>(cfg_.improved), bufs_.t_rev,
-                bufs_.q_rev, t, q, cfg_.max_edits);
-          });
-    }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                 t, q, cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::distanceGlobalWith(
-                solvers_.template get<nw()>(cfg_.improved), bufs_.t_rev,
-                bufs_.q_rev, t, q, cfg_.max_edits, cap);
-          });
-    }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                    t, q, cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/false, tasks, count, results,
-                        batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/false, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override { return "improved"; }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<core::ImprovedWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
-
-class WindowedBaselineAligner final : public Aligner {
- public:
-  explicit WindowedBaselineAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(), t, q,
-                                 cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(), t, q,
-                                    cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override {
-    return "windowed-baseline";
-  }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<genasm::BaselineWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
-
-class WindowedImprovedAligner final : public Aligner {
- public:
-  explicit WindowedImprovedAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                 t, q, cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                    t, q, cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override {
-    return "windowed-improved";
-  }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<core::ImprovedWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
 
 class MyersBackend final : public Aligner {
  public:
@@ -471,22 +311,14 @@ class AffineDpBackend final : public Aligner {
 
 AlignerRegistry::AlignerRegistry() {
   add("baseline", "global unimproved GenASM (MICRO'20; windowed beyond 512 bp)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<GlobalBaselineAligner>(cfg);
-      });
+      genasmFactory<genasm::BaselineWindowSolver, true>("baseline"));
   add("improved", "global improved GenASM (windowed beyond 512 bp)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<GlobalImprovedAligner>(cfg);
-      });
+      genasmFactory<core::ImprovedWindowSolver, true>("improved"));
   add("windowed-baseline", "windowed unimproved GenASM (long reads)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<WindowedBaselineAligner>(cfg);
-      });
+      genasmFactory<genasm::BaselineWindowSolver, false>("windowed-baseline"));
   add("windowed-improved",
       "windowed improved GenASM — the paper's system (default)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<WindowedImprovedAligner>(cfg);
-      });
+      genasmFactory<core::ImprovedWindowSolver, false>("windowed-improved"));
   add("myers", "Myers bit-parallel + band doubling (Edlib-class)",
       [](const AlignerConfig& cfg) -> AlignerPtr {
         return std::make_unique<MyersBackend>(cfg);

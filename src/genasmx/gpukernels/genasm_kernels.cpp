@@ -5,21 +5,29 @@
 namespace gx::gpukernels {
 namespace {
 
-/// Shared kernel skeleton: functional alignment + instrumented memory
-/// attribution + work declaration. `AlignFn` runs one pair and fills a
-/// per-block MemStats.
-template <class AlignFn>
-GpuBatchOutput runBatch(gpusim::Device& device,
+/// The kernel both entry points share: functional windowed alignment
+/// through `solver` (a one-word window solver) + instrumented memory
+/// attribution + work declaration.
+template <class Solver>
+GpuBatchOutput runBatch(Solver& solver, gpusim::Device& device,
                         const std::vector<mapper::AlignmentPair>& pairs,
-                        int block_threads, const KernelCostModel& cost,
-                        AlignFn&& align_pair) {
+                        const core::WindowConfig& wcfg, int block_threads,
+                        const KernelCostModel& cost) {
+  wcfg.validate();
+  if (bitvector::wordsNeeded(wcfg.window) > 1) {
+    throw std::invalid_argument(
+        "gpukernels: GPU kernels are tuned for windows <= 64 (one machine "
+        "word per bitvector), as in the paper");
+  }
   GpuBatchOutput out;
   out.results.resize(pairs.size());
 
   auto block_program = [&](gpusim::BlockContext& ctx) {
     const auto& pair = pairs[static_cast<std::size_t>(ctx.blockId())];
     util::MemStats local;
-    common::AlignmentResult res = align_pair(pair, local);
+    common::AlignmentResult res =
+        core::alignWindowed(solver, pair.target, pair.query, wcfg,
+                            util::CountingMemCounter(local));
 
     // Sequences stream in from DRAM, 2-bit packed.
     ctx.globalLoad((pair.target.size() + pair.query.size() + 3) / 4);
@@ -73,20 +81,8 @@ GpuBatchOutput alignBatchImproved(gpusim::Device& device,
                                   const core::ImprovedOptions& opts,
                                   int block_threads,
                                   const KernelCostModel& cost) {
-  wcfg.validate();
-  if (bitvector::wordsNeeded(wcfg.window) > 1) {
-    throw std::invalid_argument(
-        "gpukernels: GPU kernels are tuned for windows <= 64 (one machine "
-        "word per bitvector), as in the paper");
-  }
   core::ImprovedWindowSolver<1> solver(opts);
-  return runBatch(device, pairs, block_threads, cost,
-                  [&](const mapper::AlignmentPair& pair,
-                      util::MemStats& stats) {
-                    return core::alignWindowed(
-                        solver, pair.target, pair.query, wcfg,
-                        util::CountingMemCounter(stats));
-                  });
+  return runBatch(solver, device, pairs, wcfg, block_threads, cost);
 }
 
 GpuBatchOutput alignBatchBaseline(gpusim::Device& device,
@@ -94,20 +90,8 @@ GpuBatchOutput alignBatchBaseline(gpusim::Device& device,
                                   const core::WindowConfig& wcfg,
                                   int block_threads,
                                   const KernelCostModel& cost) {
-  wcfg.validate();
-  if (bitvector::wordsNeeded(wcfg.window) > 1) {
-    throw std::invalid_argument(
-        "gpukernels: GPU kernels are tuned for windows <= 64 (one machine "
-        "word per bitvector), as in the paper");
-  }
   genasm::BaselineWindowSolver<1> solver;
-  return runBatch(device, pairs, block_threads, cost,
-                  [&](const mapper::AlignmentPair& pair,
-                      util::MemStats& stats) {
-                    return core::alignWindowed(
-                        solver, pair.target, pair.query, wcfg,
-                        util::CountingMemCounter(stats));
-                  });
+  return runBatch(solver, device, pairs, wcfg, block_threads, cost);
 }
 
 }  // namespace gx::gpukernels

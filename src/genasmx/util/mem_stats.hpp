@@ -103,4 +103,13 @@ class CountingMemCounter {
   std::uint64_t live_ = 0;
 };
 
+/// Run fn with a CountingMemCounter into *stats, or a NullMemCounter
+/// when stats is null — the optional-instrumentation entry points use
+/// this to pick their counter policy.
+template <class Fn>
+decltype(auto) withCounter(MemStats* stats, Fn&& fn) {
+  if (stats) return fn(CountingMemCounter(*stats));
+  return fn(NullMemCounter{});
+}
+
 }  // namespace gx::util

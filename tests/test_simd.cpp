@@ -265,7 +265,7 @@ TEST(SimdWindowBatch, MatchesScalarSolveForBothSolvers) {
 
 TEST(SimdWindowedMarch, MatchesScalarDistanceWindowedWithCaps) {
   util::Xoshiro256 rng(9090);
-  for (const int window : {64, 128}) {
+  for (const int window : {64, 128, 200, 300, 512}) {
     core::WindowConfig cfg;
     cfg.window = window;
     cfg.overlap = window / 3;
@@ -455,7 +455,7 @@ TEST(SimdWindowedMarch, AlignBatchedMatchesScalarAlignWindowed) {
   // AlignmentResult equality (ok, distance, score, cigar) for both
   // window solvers, plus degenerate requests.
   util::Xoshiro256 rng(2024);
-  for (const int window : {64, 128}) {
+  for (const int window : {64, 128, 200, 300, 512}) {
     core::WindowConfig cfg;
     cfg.window = window;
     cfg.overlap = window / 3;
@@ -474,14 +474,20 @@ TEST(SimdWindowedMarch, AlignBatchedMatchesScalarAlignWindowed) {
     requests.push_back({long_t, ""});                            // deletions
     requests.push_back({"", std::string_view(long_t).substr(0, 50)});
     requests.push_back({long_t, std::string_view(long_t).substr(0, 40)});
+    // Scalar references, computed once for every ISA level below.
+    std::vector<common::AlignmentResult> wants;
+    std::vector<common::AlignmentResult> bases;
+    for (const auto& req : requests) {
+      wants.push_back(core::alignWindowedImproved(req.target, req.query, cfg));
+      bases.push_back(core::alignWindowedBaseline(req.target, req.query, cfg));
+    }
     for (const auto level : supportedLevels()) {
       simd::SimdBatchSolver solver(level);
       std::vector<common::AlignmentResult> got(requests.size());
       core::alignWindowedBatch(solver, cfg, requests.data(), requests.size(),
                                got.data());
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        const auto want = core::alignWindowedImproved(
-            requests[i].target, requests[i].query, cfg);
+        const auto& want = wants[i];
         const std::string ctx = std::string(simd::isaName(level)) +
                                 " window=" + std::to_string(window) +
                                 " i=" + std::to_string(i);
@@ -490,9 +496,7 @@ TEST(SimdWindowedMarch, AlignBatchedMatchesScalarAlignWindowed) {
         EXPECT_EQ(got[i].score, want.score) << ctx;
         EXPECT_EQ(got[i].cigar, want.cigar) << ctx;
         // The baseline driver commits the identical alignment.
-        const auto base = core::alignWindowedBaseline(
-            requests[i].target, requests[i].query, cfg);
-        EXPECT_EQ(got[i].cigar, base.cigar) << ctx;
+        EXPECT_EQ(got[i].cigar, bases[i].cigar) << ctx;
       }
     }
   }

@@ -152,7 +152,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{48, 16}, std::tuple{64, 16},
                       std::tuple{64, 24}, std::tuple{64, 32},
                       std::tuple{96, 32}, std::tuple{128, 48},
-                      std::tuple{256, 64}),
+                      std::tuple{256, 64}, std::tuple{300, 100},
+                      std::tuple{512, 128}),
     [](const auto& info) {
       return "W" + std::to_string(std::get<0>(info.param)) + "_O" +
              std::to_string(std::get<1>(info.param));
