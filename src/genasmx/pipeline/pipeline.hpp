@@ -237,10 +237,10 @@ class MappingPipeline {
 
   /// Map against an externally owned index AND an externally owned
   /// engine. This is the session shape the server layer uses: many
-  /// pipelines (one per worker, each with its own scratch and stats)
-  /// share one immutable index and one AlignmentEngine, so the SIMD
-  /// lanes and the spare-aligner pool are shared process-wide instead of
-  /// duplicated per session. cfg.engine is ignored — the shared engine's
+  /// pipelines (one per mapping thread, each with its own scratch and
+  /// stats) share one immutable index and one AlignmentEngine, so the
+  /// spare-aligner pool is shared process-wide instead of duplicated per
+  /// session. cfg.engine is ignored — the shared engine's
   /// backend/threads win. Both `index`'s owner and `shared_engine` must
   /// outlive the pipeline.
   MappingPipeline(mapper::IndexView index, engine::AlignmentEngine& shared_engine,

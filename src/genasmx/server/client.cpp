@@ -51,6 +51,11 @@ Status MapClient::connectUnix(const std::string& path) {
 
 Status MapClient::connectTcp(int port) {
   close();
+  if (port < 0 || port > 65535) {
+    return Status(ErrorCode::kMalformedInput,
+                  "tcp port " + std::to_string(port) +
+                      " out of range (0..65535)");
+  }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) return errnoStatus(ErrorCode::kIoTransient, "socket(AF_INET)");
   sockaddr_in addr{};

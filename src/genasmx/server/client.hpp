@@ -32,7 +32,8 @@ class MapClient {
   MapClient& operator=(const MapClient&) = delete;
 
   /// Connect to a Unix-domain / TCP(127.0.0.1) listener. kIoTransient on
-  /// failure (the server may simply not be up yet; callers retry).
+  /// failure (the server may simply not be up yet; callers retry);
+  /// kMalformedInput for a port outside 0..65535.
   [[nodiscard]] common::Status connectUnix(const std::string& path);
   [[nodiscard]] common::Status connectTcp(int port);
 

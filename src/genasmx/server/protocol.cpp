@@ -147,8 +147,9 @@ Status parseResponseHeader(std::string_view line, ResponseHeader& out) {
     if (!splitKv(toks[i], key, value)) {
       return malformed("bad token '" + std::string(toks[i]) + "'");
     }
-    if (key == "msg") {
-      // msg= swallows the rest of the line, spaces included.
+    if (!ok && key == "msg") {
+      // msg= swallows the rest of the line, spaces included. OK replies
+      // have no msg field (formatOkHeader never writes one).
       const std::size_t at = line.find(" msg=");
       out.msg = std::string(line.substr(at + 5));
       break;

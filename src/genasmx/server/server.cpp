@@ -16,6 +16,7 @@
 
 #include "genasmx/io/fault.hpp"
 #include "genasmx/server/protocol.hpp"
+#include "genasmx/util/thread_pool.hpp"
 
 namespace gx::server {
 namespace {
@@ -40,9 +41,16 @@ std::chrono::steady_clock::time_point noDeadline() {
   return std::chrono::steady_clock::time_point::max();
 }
 
+/// The server's engine config: the caller's backend and aligner knobs on
+/// one thread, so a session's parallel_for runs inline on the session.
+engine::EngineConfig singleThreaded(engine::EngineConfig cfg) {
+  cfg.threads = 1;
+  return cfg;
+}
+
 }  // namespace
 
-/// Per-connection state shared between its reader thread and any worker
+/// Per-connection state shared between its reader thread and any session
 /// holding one of its queued requests. The LAST shared_ptr drop closes
 /// the fd (after every pending reply was written or shed), which is what
 /// makes "zero leaked sessions" a refcount invariant rather than a
@@ -67,7 +75,7 @@ struct MapServer::Connection {
   int fd;
   std::uint64_t index;
   std::mutex write_mu;
-  /// Shed or errored: readers stop parsing, workers stop replying.
+  /// Shed or errored: readers stop parsing, sessions stop replying.
   std::atomic<bool> dead{false};
   // Injected connection faults, resolved once at accept time.
   bool stall = false;
@@ -76,7 +84,10 @@ struct MapServer::Connection {
 };
 
 MapServer::MapServer(mapper::IndexView index, ServerConfig cfg)
-    : index_(index), cfg_(std::move(cfg)), engine_(cfg_.pipeline.engine) {}
+    : index_(index),
+      cfg_(std::move(cfg)),
+      sessions_(util::resolveThreads(cfg_.pipeline.engine.threads)),
+      engine_(singleThreaded(cfg_.pipeline.engine)) {}
 
 MapServer::~MapServer() {
   if (unix_fd_ >= 0) ::close(unix_fd_);
@@ -88,6 +99,16 @@ void MapServer::start() {
   if (cfg_.unix_path.empty() && cfg_.tcp_port < 0) {
     throw Error(ErrorCode::kMalformedInput,
                 "server: no listener configured (need unix_path or tcp_port)");
+  }
+  if (cfg_.tcp_port > 65535) {
+    throw Error(ErrorCode::kMalformedInput,
+                "server: tcp_port " + std::to_string(cfg_.tcp_port) +
+                    " out of range (0..65535)");
+  }
+  if (cfg_.write_timeout_ms <= 0) {
+    throw Error(ErrorCode::kMalformedInput,
+                "server: write_timeout_ms must be positive (got " +
+                    std::to_string(cfg_.write_timeout_ms) + ")");
   }
   if (!cfg_.unix_path.empty()) {
     sockaddr_un addr{};
@@ -155,9 +176,9 @@ void MapServer::acceptOne(int listen_fd) {
 void MapServer::serve() {
   if (unix_fd_ < 0 && tcp_fd_ < 0) start();
 
-  worker_threads_.reserve(cfg_.workers ? cfg_.workers : 1);
-  for (std::size_t w = 0; w < (cfg_.workers ? cfg_.workers : 1); ++w) {
-    worker_threads_.emplace_back([this] { workerLoop(); });
+  session_threads_.reserve(sessions_);
+  for (std::size_t s = 0; s < sessions_; ++s) {
+    session_threads_.emplace_back([this] { sessionLoop(); });
   }
 
   while (!draining()) {
@@ -173,7 +194,7 @@ void MapServer::serve() {
   }
 
   // Drain: stop accepting first so no new connection can arrive, then
-  // let readers finish their current frame and exit, then let workers
+  // let readers finish their current frame and exit, then let sessions
   // empty the queue. Joining in that order IS the drain protocol.
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);
@@ -186,9 +207,9 @@ void MapServer::serve() {
   }
   for (auto& t : reader_threads_) t.join();
   reader_threads_.clear();
-  queue_cv_.notify_all();  // wake workers that were idle before drain
-  for (auto& t : worker_threads_) t.join();
-  worker_threads_.clear();
+  queue_cv_.notify_all();  // wake sessions that were idle before drain
+  for (auto& t : session_threads_) t.join();
+  session_threads_.clear();
 }
 
 // ---------------------------------------------------------------- reads
@@ -461,12 +482,12 @@ void MapServer::readerLoop(ConnPtr conn) {
     std::lock_guard lock(queue_mu_);
     --readers_active_;
   }
-  queue_cv_.notify_all();  // workers may now see "no more producers"
+  queue_cv_.notify_all();  // sessions may now see "no more producers"
 }
 
-// ---------------------------------------------------------------- worker
+// --------------------------------------------------------------- session
 
-void MapServer::workerLoop() {
+void MapServer::sessionLoop() {
   MapSession session(index_, engine_, cfg_.pipeline);
   pipeline::StageTimes folded{};  // session times already added to stats_
   std::vector<Request> group;
@@ -633,8 +654,7 @@ std::string MapServer::statsJson() const {
       << ", \"sketch\": " << s.stage_times.sketch_s
       << ", \"phase2_traceback\": " << s.stage_times.traceback_s
       << ", \"output\": " << s.stage_times.output_s << "},\n";
-  out << "  \"workers\": " << (cfg_.workers ? cfg_.workers : 1) << ",\n";
-  out << "  \"pool_threads\": " << engine_.threads() << ",\n";
+  out << "  \"workers\": " << sessions_ << ",\n";
   out << "  \"uptime_s\": " << uptime << ",\n";
   out << "  \"reads_per_sec\": "
       << (uptime > 0 ? static_cast<double>(s.reads) / uptime : 0.0) << "\n";

@@ -9,12 +9,15 @@
 //     requests into ONE bounded central queue. A full queue answers with
 //     an explicit retryable queue-full reply — load shedding is a
 //     protocol feature, never a silent hang.
-//   - `workers` mapping threads each own a MapSession (per-worker
-//     scratch over the SHARED index + engine) and pop request *groups*
-//     from the queue: cross-request coalescing keeps the SIMD lanes full
-//     under bursty small requests, and per-read batch-boundary
-//     independence keeps every request's PAF byte-identical to a solo
-//     batch run.
+//   - One mapping thread per core (cfg.pipeline.engine.threads, 0 =
+//     hardware concurrency), each owning a MapSession (its own scratch
+//     over the SHARED index + engine), pops request *groups* from the
+//     queue and maps each group inline as one batched engine call. The
+//     shared engine runs single-threaded, so sessions never fan out:
+//     the parallelism is across sessions, one level deep. Cross-request
+//     coalescing keeps the SIMD lanes full under bursty small requests,
+//     and per-read batch-boundary independence keeps every request's
+//     PAF byte-identical to a solo batch run.
 //
 // Robustness invariants (tests/test_server.cpp pins each):
 //   - Per-request deadlines: checked before dispatch, cooperatively at
@@ -25,7 +28,7 @@
 //     disconnect, or stalled reader kills at most its own connection.
 //   - Slow-client write timeouts: a reply blocked longer than
 //     write_timeout_ms sheds that connection instead of wedging a
-//     mapping worker.
+//     mapping session.
 //   - Graceful drain: requestDrain() (async-signal-safe) stops
 //     accepting, finishes every in-flight request, flushes stats, and
 //     serve() returns; zero leaked sessions or fds.
@@ -54,14 +57,13 @@ namespace gx::server {
 struct ServerConfig {
   /// Unix-domain listener path ("" = none). Stale paths are unlinked.
   std::string unix_path;
-  /// TCP listener on 127.0.0.1 (-1 = none, 0 = ephemeral; see tcpPort()).
+  /// TCP listener on 127.0.0.1 (-1 = none, 0 = ephemeral; see tcpPort();
+  /// above 65535 start() rejects it).
   int tcp_port = -1;
-  /// Mapping worker threads (each owns one MapSession).
-  std::size_t workers = 1;
   /// Bounded admission queue: requests queued beyond this are shed with
   /// a retryable queue-full reply.
   std::size_t max_queue = 64;
-  /// Coalescing bounds per worker group: at most this many requests ...
+  /// Coalescing bounds per group: at most this many requests ...
   std::size_t coalesce_requests = 8;
   /// ... and at most this much payload per group.
   std::size_t coalesce_bytes = std::size_t{1} << 20;
@@ -69,11 +71,14 @@ struct ServerConfig {
   std::uint64_t max_request_bytes = std::uint64_t{64} << 20;
   /// A reply write blocked longer than this sheds the connection; also
   /// bounds how long a mid-frame read may linger once drain started.
+  /// Must be positive.
   int write_timeout_ms = 5000;
   /// Poll tick for the accept loop and connection reads (drain latency).
   int poll_interval_ms = 50;
-  /// Mapping configuration; cfg.pipeline.engine selects backend/threads
-  /// for the one shared engine.
+  /// Mapping configuration. cfg.pipeline.engine selects the shared
+  /// engine's backend and aligner knobs; its `threads` is the number of
+  /// mapping sessions (0 = hardware concurrency), and the engine itself
+  /// runs single-threaded inside each session.
   pipeline::PipelineConfig pipeline{};
 };
 
@@ -95,7 +100,7 @@ struct ServerStats {
   std::uint64_t skipped_records = 0;
   std::uint64_t failed_reads = 0;
   LatencyHistogram latency;
-  pipeline::StageTimes stage_times;  ///< summed across worker sessions
+  pipeline::StageTimes stage_times;  ///< summed across sessions
 };
 
 class MapServer {
@@ -110,10 +115,11 @@ class MapServer {
   MapServer& operator=(const MapServer&) = delete;
 
   /// Bind + listen on the configured endpoints. Call once, before
-  /// serve(). Throws common::Error(kIoFatal) on bind/listen failure.
+  /// serve(). Throws common::Error(kMalformedInput) on an invalid
+  /// configuration, common::Error(kIoFatal) on bind/listen failure.
   void start();
 
-  /// Accept and serve until requestDrain(): spawns workers, runs the
+  /// Accept and serve until requestDrain(): spawns sessions, runs the
   /// accept loop, then drains — stops accepting, finishes in-flight
   /// requests, joins every thread, closes every fd — and returns.
   void serve();
@@ -153,7 +159,7 @@ class MapServer {
 
   void acceptOne(int listen_fd);
   void readerLoop(ConnPtr conn);
-  void workerLoop();
+  void sessionLoop();
   void processGroup(MapSession& session, std::vector<Request>& group);
 
   ReadStatus fill(Connection& conn, std::string& inbuf, bool mid_frame,
@@ -169,7 +175,8 @@ class MapServer {
 
   mapper::IndexView index_;
   ServerConfig cfg_;
-  engine::AlignmentEngine engine_;  ///< ONE engine shared by all sessions
+  std::size_t sessions_;            ///< mapping threads, one MapSession each
+  engine::AlignmentEngine engine_;  ///< ONE single-threaded engine, shared
 
   int unix_fd_ = -1;
   int tcp_fd_ = -1;
@@ -183,7 +190,7 @@ class MapServer {
   std::size_t readers_active_ = 0;  ///< guarded by queue_mu_
 
   std::vector<std::thread> reader_threads_;  ///< accept loop only, then join
-  std::vector<std::thread> worker_threads_;
+  std::vector<std::thread> session_threads_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

@@ -1,11 +1,11 @@
 #pragma once
-// MapSession — the reusable per-worker mapping unit behind genasmx_mapd.
+// MapSession — the reusable per-thread mapping unit behind genasmx_mapd.
 // Where the batch tools construct one run-to-completion MappingPipeline
 // per process, a session wraps a pipeline built over a SHARED immutable
 // index and a SHARED AlignmentEngine (see the pipeline's shared-engine
-// constructor): each server worker owns one session (its own scratch,
-// stats, and sketch pools), while the SIMD lanes, spare-aligner pool,
-// and mmap'd index are process-wide. mapGroup() is the cross-request
+// constructor): each server mapping thread owns one session (its own
+// scratch, stats, and sketch pools), while the spare-aligner pool and
+// mmap'd index are process-wide. mapGroup() is the cross-request
 // coalescing point: several small requests are mapped as ONE pipeline
 // batch — per-read output is independent of batch boundaries, so every
 // request's PAF is byte-identical to a solo genasmx_map run — and the

@@ -5,12 +5,15 @@
 
 namespace gx::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+std::size_t resolveThreads(std::size_t threads) noexcept {
+  if (threads != 0) return threads;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(std::size_t threads) : size_(resolveThreads(threads)) {
+  if (size_ == 1) return;  // parallel_for runs on the caller
+  workers_.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -24,32 +27,15 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    tasks_.push(Task{std::move(task), nullptr});
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (pending_error_) {
-    std::exception_ptr err = std::exchange(pending_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t grain) {
   if (n == 0) return;
   grain = std::max<std::size_t>(grain, 1);
   const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(n / grain, size() * 4));
+      workers_.empty()
+          ? 1
+          : std::max<std::size_t>(1, std::min(n / grain, size() * 4));
   if (chunks == 1) {
     fn(0, n);
     return;
@@ -92,16 +78,9 @@ void ThreadPool::worker_loop() {
     } catch (...) {
       err = std::current_exception();
     }
-    {
-      std::lock_guard lock(mu_);
-      if (task.group != nullptr) {
-        if (err && !task.group->error) task.group->error = err;
-        if (--task.group->in_flight == 0) cv_idle_.notify_all();
-      } else {
-        if (err && !pending_error_) pending_error_ = err;
-        if (--in_flight_ == 0) cv_idle_.notify_all();
-      }
-    }
+    std::lock_guard lock(mu_);
+    if (err && !task.group->error) task.group->error = err;
+    if (--task.group->in_flight == 0) cv_idle_.notify_all();
   }
 }
 

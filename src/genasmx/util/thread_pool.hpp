@@ -1,10 +1,11 @@
 #pragma once
-// Minimal fixed-size thread pool with a blocking task queue plus a
-// chunked parallel_for used to parallelize alignment batches.
+// Minimal fixed-size thread pool with a chunked parallel_for used to
+// parallelize alignment batches.
 //
 // Alignment pairs are embarrassingly parallel (the paper runs 48 CPU
 // threads); the pool keeps per-task overhead low by handing out index
-// ranges rather than single indices.
+// ranges rather than single indices. A pool of size 1 starts no thread:
+// its parallel_for runs the whole range on the caller.
 //
 // parallel_for is safe to call from several caller threads at once:
 // each call tracks its own chunks in a per-call task group, so a
@@ -23,34 +24,28 @@
 
 namespace gx::util {
 
+/// A thread count with 0 resolved to std::thread::hardware_concurrency()
+/// (at least 1).
+[[nodiscard]] std::size_t resolveThreads(std::size_t threads) noexcept;
+
 class ThreadPool {
  public:
-  /// threads == 0 selects std::thread::hardware_concurrency().
+  /// threads == 0 selects resolveThreads(0).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Enqueue an arbitrary task. Fire and forget; use wait_idle() to join.
-  void submit(std::function<void()> task);
-
-  /// Block until every group-less submitted task has finished. If any
-  /// such task threw, rethrows the first captured exception here (on the
-  /// waiting thread); the remaining tasks still ran to completion first,
-  /// so the pool is reusable afterwards. Before this existed, a throwing
-  /// task escaped worker_loop and took the whole process down via
-  /// std::terminate. Tasks spawned by other callers' parallel_for are
-  /// invisible here — their group owns them.
-  void wait_idle();
+  /// Threads of work, the caller's included when size() == 1.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Run fn(begin, end) over [0, n) split into at most `size()*4` chunks
   /// of at least `grain` indices each, blocking until completion. fn must
-  /// be safe to call concurrently. A single chunk runs inline on the
-  /// calling thread (no hand-off, no wake-ups). Rethrows the first
-  /// exception any chunk threw (see wait_idle); callers that need
+  /// be safe to call concurrently. A single chunk (always, for a size-1
+  /// pool) runs inline on the calling thread: no hand-off, no wake-ups.
+  /// Rethrows the first exception any chunk threw once every chunk has
+  /// finished, so the pool is reusable afterwards; callers that need
   /// per-chunk isolation catch inside fn. Concurrent calls from different
   /// threads are independent: each waits only for its own chunks.
   void parallel_for(std::size_t n,
@@ -66,19 +61,18 @@ class ThreadPool {
 
   struct Task {
     std::function<void()> fn;
-    Group* group = nullptr;  ///< nullptr = global (submit/wait_idle)
+    Group* group = nullptr;
   };
 
   void worker_loop();
 
+  std::size_t size_;
   std::vector<std::thread> workers_;
   std::queue<Task> tasks_;
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;  ///< group-less tasks only
   bool stop_ = false;
-  std::exception_ptr pending_error_;  ///< first group-less throw
 };
 
 }  // namespace gx::util

@@ -135,7 +135,7 @@ TEST(FaultPlanParse, RejectsBadSpecsWithTheGrammarInTheMessage) {
 
 // -------------------------------------------------- pool propagation
 
-TEST(ThreadPoolFaults, TaskExceptionSurfacesInWaitIdleAndPoolSurvives) {
+TEST(ThreadPoolFaults, TaskExceptionSurfacesInParallelForAndPoolSurvives) {
   util::ThreadPool pool(4);
   std::atomic<int> done{0};
   pool.parallel_for(64, [&](std::size_t b, std::size_t e) {
@@ -154,8 +154,8 @@ TEST(ThreadPoolFaults, TaskExceptionSurfacesInWaitIdleAndPoolSurvives) {
                                  }),
                Error);
 
-  // The pool remains fully usable: the error does not wedge in_flight_
-  // and does not resurface on the next wait.
+  // The pool remains fully usable: the error does not wedge the call's
+  // group and does not resurface on the next call.
   done = 0;
   pool.parallel_for(32, [&](std::size_t b, std::size_t e) {
     done += static_cast<int>(e - b);

@@ -15,12 +15,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "genasmx/common/error.hpp"
+#include "genasmx/common/sequence.hpp"
 #include "genasmx/engine/engine.hpp"
 #include "genasmx/engine/registry.hpp"
 #include "genasmx/io/fastx.hpp"
@@ -196,6 +198,19 @@ TEST(Protocol, RejectsMalformedRequests) {
         "MAP id bytes=1", "STATS now", "MAP id= bytes=1",
         "MAP id=has\ttab bytes=1"}) {
     const auto st = parseRequestHeader(bad, h);
+    EXPECT_FALSE(st.ok()) << "accepted: '" << bad << "'";
+    EXPECT_EQ(st.code(), ErrorCode::kMalformedInput) << bad;
+  }
+}
+
+TEST(Protocol, RejectsMalformedResponses) {
+  ResponseHeader h;
+  // msg= belongs to ERR replies only: formatOkHeader never writes it, so
+  // an OK line carrying one could not survive a re-format.
+  for (const char* bad :
+       {"", "NOPE id=x", "OK id=x reads=zz", "OK id=x msg=stray text",
+        "ERR id=x reads=1", "OK id=x  reads=1"}) {
+    const auto st = parseResponseHeader(bad, h);
     EXPECT_FALSE(st.ok()) << "accepted: '" << bad << "'";
     EXPECT_EQ(st.code(), ErrorCode::kMalformedInput) << bad;
   }
@@ -393,7 +408,7 @@ TEST(MapSessionTest, GroupSplitsPerRequestAndIsolatesBadPayloads) {
 
 TEST(MapServerTest, ConcurrentClientsGetByteIdenticalPafOneWorker) {
   ServerConfig cfg;
-  cfg.workers = 1;
+  cfg.pipeline.engine.threads = 1;
   ServerHandle srv(cfg);
 
   constexpr std::size_t kClients = 6;
@@ -432,7 +447,7 @@ TEST(MapServerTest, ConcurrentClientsGetByteIdenticalPafOneWorker) {
 
 TEST(MapServerTest, ConcurrentClientsGetByteIdenticalPafFourWorkers) {
   ServerConfig cfg;
-  cfg.workers = 4;
+  cfg.pipeline.engine.threads = 4;
   cfg.coalesce_requests = 3;  // exercise cross-request coalescing
   ServerHandle srv(cfg);
 
@@ -469,7 +484,7 @@ TEST(MapServerTest, ConcurrentClientsGetByteIdenticalPafFourWorkers) {
 
 TEST(MapServerTest, PrimaryOnlyPafMatchesSinglePhaseReference) {
   ServerConfig cfg;
-  cfg.workers = 2;
+  cfg.pipeline.engine.threads = 2;
   cfg.coalesce_requests = 3;  // coalesced batches of several requests
   cfg.pipeline.emit_secondary = false;
   ServerHandle srv(cfg);
@@ -509,7 +524,7 @@ TEST(MapServerTest, PrimaryOnlyPafMatchesSinglePhaseReference) {
 
 TEST(MapServerTest, DeadlineExpiryIsARetryableErrNotAHang) {
   ServerConfig cfg;
-  cfg.workers = 1;
+  cfg.pipeline.engine.threads = 1;
   ServerHandle srv(cfg);
 
   // Big enough that the deadline is long gone by the first stage
@@ -537,18 +552,25 @@ TEST(MapServerTest, DeadlineExpiryIsARetryableErrNotAHang) {
 }
 
 /// Parks every alignment call until the test opens it, so a request can
-/// hold a worker for exactly as long as a test needs — no assumption
+/// hold a session for exactly as long as a test needs — no assumption
 /// about how fast the host maps.
 struct Gate {
+  struct Call {
+    std::thread::id thread;
+    std::string query;
+  };
+
   std::mutex mu;
   std::condition_variable cv;
   bool open = true;
   std::atomic<int> entered{0};  ///< calls that reached the gate
+  std::vector<Call> calls;      ///< every call since close(), under mu
 
   void close() {
     const std::lock_guard lock(mu);
     open = false;
     entered = 0;
+    calls.clear();
   }
   void release() {
     {
@@ -557,9 +579,10 @@ struct Gate {
     }
     cv.notify_all();
   }
-  void pass() {
+  void pass(std::string_view query) {
     ++entered;
     std::unique_lock lock(mu);
+    calls.push_back({std::this_thread::get_id(), std::string(query)});
     cv.wait(lock, [this] { return open; });
   }
 };
@@ -576,12 +599,12 @@ class GatedAligner final : public engine::Aligner {
       : inner_(engine::makeAligner("windowed-improved", cfg)) {}
   common::AlignmentResult align(std::string_view target,
                                 std::string_view query) override {
-    gate().pass();
+    gate().pass(query);
     return inner_->align(target, query);
   }
   int distance(std::string_view target, std::string_view query,
                int cap) override {
-    gate().pass();
+    gate().pass(query);
     return inner_->distance(target, query, cap);
   }
   std::string_view name() const noexcept override { return "gated-test"; }
@@ -589,6 +612,16 @@ class GatedAligner final : public engine::Aligner {
  private:
   engine::AlignerPtr inner_;
 };
+
+void registerGatedBackend() {
+  auto& registry = engine::AlignerRegistry::instance();
+  if (!registry.contains("gated-test")) {
+    registry.add("gated-test", "server test backend that blocks on a gate",
+                 [](const engine::AlignerConfig& cfg) {
+                   return std::make_unique<GatedAligner>(cfg);
+                 });
+  }
+}
 
 /// Poll `done` every millisecond for up to ten seconds.
 template <typename Pred>
@@ -599,15 +632,8 @@ void waitFor(Pred done) {
 }
 
 TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
-  auto& registry = engine::AlignerRegistry::instance();
-  if (!registry.contains("gated-test")) {
-    registry.add("gated-test", "server test backend that blocks on a gate",
-                 [](const engine::AlignerConfig& cfg) {
-                   return std::make_unique<GatedAligner>(cfg);
-                 });
-  }
+  registerGatedBackend();
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.max_queue = 1;
   cfg.coalesce_requests = 1;
   cfg.pipeline.engine.threads = 1;
@@ -615,7 +641,7 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
   gate().close();
   ServerHandle srv(cfg);
 
-  // The big request parks the single worker in its first alignment until
+  // The big request parks the single session in its first alignment until
   // the gate opens below.
   std::atomic<bool> a_ok{false};
   std::thread ta([&] {
@@ -656,6 +682,120 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
 
   const ServerStats stats = srv.stop();
   EXPECT_GE(stats.shed_queue_full, 1u);
+}
+
+// ---------------------------------------------- server: thread model
+
+/// Which request each gated call came from: request r owns a call when
+/// one of its reads, on either strand, contains the call's query.
+/// Returns the threads each request's calls ran on.
+std::vector<std::set<std::thread::id>> gateThreadsPerRequest(
+    const std::vector<std::vector<io::FastxRecord>>& requests) {
+  std::vector<std::string> strands(requests.size());
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    for (const auto& rec : requests[r]) {
+      strands[r] += rec.seq;
+      strands[r] += '|';
+      strands[r] += common::reverseComplement(rec.seq);
+      strands[r] += '|';
+    }
+  }
+  std::vector<std::set<std::thread::id>> threads(requests.size());
+  const std::lock_guard lock(gate().mu);
+  for (const Gate::Call& call : gate().calls) {
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      if (!call.query.empty() &&
+          strands[r].find(call.query) != std::string::npos) {
+        threads[r].insert(call.thread);
+      }
+    }
+  }
+  return threads;
+}
+
+TEST(MapServerTest, SessionsMapConcurrently) {
+  registerGatedBackend();
+  ServerConfig cfg;
+  cfg.coalesce_requests = 1;
+  cfg.pipeline.engine.threads = 2;
+  cfg.pipeline.engine.backend = "gated-test";
+  gate().close();
+  ServerHandle srv(cfg);
+
+  // 16 reads a request: enough engine tasks that a session fanning its
+  // batch out over a thread pool would split them across threads.
+  const std::vector<std::vector<io::FastxRecord>> requests = {slice(0, 16),
+                                                              slice(16, 32)};
+  std::vector<std::string> got(requests.size());
+  std::vector<std::thread> clients;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    clients.emplace_back([&, r] {
+      MapClient client = srv.client();
+      ResponseHeader reply;
+      const auto st = client.map(std::to_string(r),
+                                 toFastq(requests[r]), 0, reply, got[r]);
+      if (!st.ok() || !reply.ok) got[r] = "<failed>";
+    });
+  }
+  // With the gate shut, a request only reaches it once a session maps
+  // it: both requests there at once means two sessions mapping side by
+  // side.
+  const auto both_at_gate = [&] {
+    for (const auto& threads : gateThreadsPerRequest(requests)) {
+      if (threads.empty()) return false;
+    }
+    return true;
+  };
+  waitFor(both_at_gate);
+  const bool concurrent = both_at_gate();
+  gate().release();
+  for (auto& t : clients) t.join();
+  EXPECT_TRUE(concurrent) << "the second request waited for the first";
+
+  // Each request maps inline on its own session's thread: no fan-out.
+  const auto threads = gateThreadsPerRequest(requests);
+  ASSERT_EQ(threads[0].size(), 1u) << "request 0 fanned out";
+  ASSERT_EQ(threads[1].size(), 1u) << "request 1 fanned out";
+  EXPECT_NE(*threads[0].begin(), *threads[1].begin());
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_EQ(got[r], expectedPaf(requests[r])) << "request " << r;
+  }
+  srv.stop();
+}
+
+// ------------------------------------------- server: config validation
+
+TEST(MapServerTest, StartRejectsOutOfRangePortAndWriteTimeout) {
+  const auto expect_rejected = [](const ServerConfig& cfg) {
+    MapServer srv(world().view(), cfg);
+    try {
+      srv.start();
+      ADD_FAILURE() << "start() accepted tcp_port=" << cfg.tcp_port
+                    << " write_timeout_ms=" << cfg.write_timeout_ms;
+    } catch (const common::Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kMalformedInput) << e.what();
+    }
+  };
+  ServerConfig cfg;
+  for (const int port : {65536, 70000}) {
+    cfg.tcp_port = port;  // would wrap to a real port through uint16_t
+    expect_rejected(cfg);
+  }
+  cfg.tcp_port = 0;
+  // -1294967296 is 3000000000 ms after an int cast.
+  for (const int timeout : {0, -1, -1294967296}) {
+    cfg.write_timeout_ms = timeout;
+    expect_rejected(cfg);
+  }
+}
+
+TEST(MapClientTest, ConnectTcpRejectsOutOfRangePort) {
+  for (const int port : {-1, 65536, 70000}) {
+    MapClient client;
+    const common::Status st = client.connectTcp(port);
+    EXPECT_FALSE(st.ok()) << port;
+    EXPECT_EQ(st.code(), ErrorCode::kMalformedInput) << port;
+  }
 }
 
 // --------------------------------------------------- server: isolation
@@ -842,7 +982,7 @@ TEST(MapServerFaults, StallFaultShedsSlowClientWithinTimeout) {
 
 TEST(MapServerTest, DrainFinishesInFlightRequests) {
   ServerConfig cfg;
-  cfg.workers = 1;
+  cfg.pipeline.engine.threads = 1;
   ServerHandle srv(cfg);
 
   std::string big;

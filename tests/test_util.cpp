@@ -172,12 +172,20 @@ TEST(ThreadPool, GrainBoundsChunksAndOneChunkRunsInline) {
   EXPECT_EQ(ids[0], std::this_thread::get_id());
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&done] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 50);
+TEST(ThreadPool, OneThreadPoolRunsTheWholeRangeOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::vector<std::thread::id> ids;
+  // Enough work for many chunks at grain 1: a one-thread pool still
+  // makes one call, on the calling thread.
+  pool.parallel_for(1000, [&](std::size_t b, std::size_t e) {
+    chunks.emplace_back(b, e);
+    ids.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(std::size_t{0}, std::size_t{1000}));
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
 }
 
 TEST(ThreadPool, EmptyParallelFor) {

@@ -13,14 +13,24 @@
 //   cli.flag("--primary-only", opt.primary_only);
 //   cli.positional(opt.reference_path);   // compat slot
 //   if (!cli.parse(argc, argv)) { ...print usage...; return 2; }
+//
+// MappingFlags (bottom of this file) is the one declaration of the
+// mapping flags genasmx_map and genasmx_mapd share, and of the
+// PipelineConfig they build from them.
 
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "genasmx/io/fastx.hpp"
+#include "genasmx/io/fault.hpp"
+#include "genasmx/pipeline/pipeline.hpp"
 
 namespace gx::cli {
 
@@ -172,6 +182,82 @@ class Parser {
 
   std::vector<Opt> opts_;
   std::vector<std::string*> pos_;
+};
+
+/// The mapping flags genasmx_map and genasmx_mapd share: --backend,
+/// --threads, --window, --overlap, --max-candidates, --primary-only,
+/// --on-bad-record and --fault. Both tools build their PipelineConfig
+/// here, which is what keeps the server's PAF byte-identical to the
+/// batch tool's. Only the --on-bad-record default differs per tool.
+struct MappingFlags {
+  std::string backend = "windowed-improved";
+  std::size_t threads = 0;  ///< 0 = hardware concurrency
+  int window = 64;
+  int overlap = 24;
+  std::size_t max_candidates = 4;
+  bool primary_only = false;
+  std::string on_bad_record;  ///< abort | skip | warn
+  std::string fault;          ///< fault spec ("" = GENASMX_FAULT env)
+
+  explicit MappingFlags(std::string on_bad_record_default)
+      : on_bad_record(std::move(on_bad_record_default)) {}
+
+  void declare(Parser& cli) {
+    cli.option("--backend", backend);
+    cli.option("--threads", threads);
+    cli.option("--window", window);
+    cli.option("--overlap", overlap);
+    cli.option("--max-candidates", max_candidates);
+    cli.flag("--primary-only", primary_only);
+    cli.option("--on-bad-record", on_bad_record);
+    cli.option("--fault", fault);
+  }
+
+  /// After parse(): false, with a one-line diagnostic, on a bad
+  /// --on-bad-record value.
+  [[nodiscard]] bool valid() const {
+    if (on_bad_record == "abort" || on_bad_record == "skip" ||
+        on_bad_record == "warn") {
+      return true;
+    }
+    std::fprintf(stderr,
+                 "--on-bad-record must be abort, skip, or warn (got '%s')\n",
+                 on_bad_record.c_str());
+    return false;
+  }
+
+  [[nodiscard]] pipeline::PipelineConfig pipelineConfig() const {
+    pipeline::PipelineConfig cfg;
+    cfg.engine.backend = backend;
+    cfg.engine.threads = threads;
+    cfg.engine.aligner.window.window = window;
+    cfg.engine.aligner.window.overlap = overlap;
+    cfg.engine.aligner.ksw.band = 751;  // minimap2's long-read band regime
+    cfg.max_candidates = max_candidates;
+    cfg.emit_secondary = !primary_only;
+    cfg.on_bad_record = on_bad_record == "skip"   ? io::OnBadRecord::kSkip
+                        : on_bad_record == "warn" ? io::OnBadRecord::kWarn
+                                                  : io::OnBadRecord::kAbort;
+    return cfg;
+  }
+
+  /// The fault plan to install: --fault wins over GENASMX_FAULT, and an
+  /// empty spec is an empty plan. False, with a one-line error, on a bad
+  /// spec (a usage error).
+  [[nodiscard]] bool faultPlan(io::FaultPlan& plan) const {
+    std::string spec = fault;
+    if (spec.empty()) {
+      if (const char* env = std::getenv("GENASMX_FAULT")) spec = env;
+    }
+    if (spec.empty()) return true;
+    try {
+      plan = io::FaultPlan::parse(spec);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return false;
+    }
+    return true;
+  }
 };
 
 }  // namespace gx::cli

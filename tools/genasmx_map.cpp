@@ -53,7 +53,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -79,21 +78,14 @@ struct Options {
   std::string index_path;
   std::string reads_path;
   std::string out_path;  ///< empty = stdout
-  std::string backend = "windowed-improved";
-  std::size_t threads = 0;
-  std::size_t max_candidates = 4;
+  gx::cli::MappingFlags mapping{"abort"};
   std::size_t batch = 256;
-  int window = 64;
-  int overlap = 24;
-  bool primary_only = false;
   std::string prefilter = "off";
   std::string stats_json_path;
   bool no_verify = false;
   bool list_backends = false;
-  std::string on_bad_record = "abort";
   std::size_t max_read_len = 0;
   std::size_t max_batch_bytes = 0;
-  std::string fault;  ///< fault-injection spec ("" = GENASMX_FAULT env)
 };
 
 bool parseArgs(int argc, char** argv, Options& opt) {
@@ -104,21 +96,14 @@ bool parseArgs(int argc, char** argv, Options& opt) {
   cli.option("--reads", opt.reads_path);
   cli.option("--out", opt.out_path);
   cli.option("--paf", opt.out_path);  // pre---out alias
-  cli.option("--backend", opt.backend);
-  cli.option("--threads", opt.threads);
-  cli.option("--max-candidates", opt.max_candidates);
+  opt.mapping.declare(cli);
   cli.option("--batch", opt.batch);
-  cli.option("--window", opt.window);
-  cli.option("--overlap", opt.overlap);
-  cli.flag("--primary-only", opt.primary_only);
   cli.option("--prefilter", opt.prefilter);
   cli.option("--stats-json", opt.stats_json_path);
   cli.flag("--no-verify", opt.no_verify);
   cli.flag("--list-backends", opt.list_backends);
-  cli.option("--on-bad-record", opt.on_bad_record);
   cli.option("--max-read-len", opt.max_read_len);
   cli.option("--max-batch-bytes", opt.max_batch_bytes);
-  cli.option("--fault", opt.fault);
   cli.positional(pos_ref);    // compat: genasmx_map ref.fa reads.fq
   cli.positional(pos_reads);
   if (!cli.parse(argc, argv)) return false;
@@ -134,17 +119,11 @@ bool parseArgs(int argc, char** argv, Options& opt) {
                  opt.prefilter.c_str());
     return false;
   }
-  if (opt.prefilter == "sketch" && !opt.primary_only) {
+  if (opt.prefilter == "sketch" && !opt.mapping.primary_only) {
     std::fprintf(stderr, "--prefilter=sketch requires --primary-only\n");
     return false;
   }
-  if (opt.on_bad_record != "abort" && opt.on_bad_record != "skip" &&
-      opt.on_bad_record != "warn") {
-    std::fprintf(stderr,
-                 "--on-bad-record must be abort, skip, or warn (got '%s')\n",
-                 opt.on_bad_record.c_str());
-    return false;
-  }
+  if (!opt.mapping.valid()) return false;
   return (!opt.ref_path.empty() || !opt.index_path.empty()) &&
          !opt.reads_path.empty();
 }
@@ -226,42 +205,20 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (!registry.contains(opt.backend)) {
+  if (!registry.contains(opt.mapping.backend)) {
     std::fprintf(stderr, "error: unknown backend '%s' (see --list-backends)\n",
-                 opt.backend.c_str());
+                 opt.mapping.backend.c_str());
     return 2;
   }
 
-  // Fault injection: --fault wins over GENASMX_FAULT; an empty spec
-  // installs nothing. The guard must outlive everything that touches
+  // Fault injection: the guard must outlive everything that touches
   // I/O, so it sits above index loading.
-  std::string fault_spec = opt.fault;
-  if (fault_spec.empty()) {
-    if (const char* env = std::getenv("GENASMX_FAULT")) fault_spec = env;
-  }
   io::FaultPlan fault_plan;
-  if (!fault_spec.empty()) {
-    try {
-      fault_plan = io::FaultPlan::parse(fault_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (!opt.mapping.faultPlan(fault_plan)) return 2;
   const io::ScopedFaultInjection fault_guard(std::move(fault_plan));
 
-  pipeline::PipelineConfig cfg;
-  cfg.engine.backend = opt.backend;
-  cfg.engine.threads = opt.threads;
-  cfg.engine.aligner.window.window = opt.window;
-  cfg.engine.aligner.window.overlap = opt.overlap;
-  cfg.engine.aligner.ksw.band = 751;  // minimap2's long-read band regime
-  cfg.max_candidates = opt.max_candidates;
+  pipeline::PipelineConfig cfg = opt.mapping.pipelineConfig();
   cfg.batch_reads = opt.batch;
-  cfg.emit_secondary = !opt.primary_only;
-  cfg.on_bad_record = opt.on_bad_record == "skip"   ? io::OnBadRecord::kSkip
-                      : opt.on_bad_record == "warn" ? io::OnBadRecord::kWarn
-                                                    : io::OnBadRecord::kAbort;
   cfg.max_read_len = opt.max_read_len;
   cfg.max_batch_bytes = opt.max_batch_bytes;
   cfg.prefilter.mode = opt.prefilter == "sketch"
@@ -322,7 +279,7 @@ int main(int argc, char** argv) {
                timer.seconds(), index.size(), ref.contigCount(),
                opt.index_path.empty() ? "parallel per-contig build"
                                       : "served from disk",
-               opt.backend.c_str(), pipe->engine().threads());
+               opt.mapping.backend.c_str(), pipe->engine().threads());
   const std::uint32_t shown = std::min(ref.contigCount(), 16u);
   for (std::uint32_t c = 0; c < shown; ++c) {
     std::fprintf(stderr, "  contig %-20s %10zu bp  %8zu minimizers\n",

@@ -62,7 +62,7 @@ trap cleanup_server_bench EXIT
 "$build_dir"/genasmx_index --ref "$srv_tmp/bench.fa" \
   --out "$srv_tmp/bench.gxi"
 "$build_dir"/genasmx_mapd --index "$srv_tmp/bench.gxi" \
-  --unix "$srv_tmp/mapd.sock" --workers 4 \
+  --unix "$srv_tmp/mapd.sock" --threads 4 \
   --stats-json "$srv_tmp/mapd.stats.json" 2>"$srv_tmp/mapd.log" &
 mapd_pid=$!
 for _ in $(seq 1 200); do
