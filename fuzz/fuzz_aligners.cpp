@@ -1,7 +1,8 @@
 // Differential libFuzzer harness for the four GenASM backends (baseline,
 // improved, windowed-baseline, windowed-improved). Bytes decode into a
-// target, a query of at most 1.5 kb drawn from it, a result cap and a
-// valid window geometry. For every backend the harness checks that
+// target, a query of at most 1.5 kb drawn from it, a result cap, a
+// valid window geometry and the SIMD lane kernel (ISA level) the batched
+// entries run on. For every backend the harness checks that
 //   * the align() cigar verifies as a global alignment of its cost;
 //   * distance() honours its cap contract against align();
 //   * alignBatch()/distanceBatch() equal the per-task scalar results;
@@ -24,6 +25,7 @@
 #include "genasmx/common/verify.hpp"
 #include "genasmx/engine/registry.hpp"
 #include "genasmx/refdp/edit_dp.hpp"
+#include "genasmx/simd/dispatch.hpp"
 #include "genasmx/util/prng.hpp"
 
 namespace {
@@ -33,6 +35,11 @@ using gx::common::AlignmentResult;
 constexpr int kWindows[] = {32, 48, 64, 100, 128, 200, 256, 300, 384, 512};
 constexpr std::size_t kMaxQuery = 1500;
 constexpr std::size_t kGlobalMax = 512;
+/// Picked by the ISA byte, then clamped to what the build and CPU run.
+/// Byte 0 (also an input that ends before it) picks the widest kernel.
+constexpr gx::simd::IsaLevel kIsas[] = {
+    gx::simd::IsaLevel::Avx512, gx::simd::IsaLevel::Avx2,
+    gx::simd::IsaLevel::Sse2, gx::simd::IsaLevel::Scalar};
 
 /// Reads the input front to back; past the end it yields zeros, so every
 /// byte string decodes to some case.
@@ -56,6 +63,7 @@ struct Case {
   gx::engine::AlignerConfig cfg;
   int oracle = 0;  ///< refdp::editDistance(target, query)
   int cap = -1;
+  gx::simd::IsaLevel isa = gx::simd::IsaLevel::Scalar;
 };
 
 Case decode(const std::uint8_t* data, std::size_t size) {
@@ -77,6 +85,7 @@ Case decode(const std::uint8_t* data, std::size_t size) {
   const std::uint32_t flanks = in.u8();
   const std::uint32_t cap_byte = in.u8();
   const bool unrelated = (in.u8() & 1) != 0;
+  c.isa = gx::simd::clampIsa(kIsas[in.u8() % std::size(kIsas)]);
 
   const std::string source = gx::common::randomSequence(rng, qlen);
   c.target = gx::common::randomSequence(rng, (flanks & 15) * 4) + source +
@@ -97,11 +106,12 @@ Case decode(const std::uint8_t* data, std::size_t size) {
                        std::string_view what) {
   std::fprintf(stderr,
                "fuzz_aligners: %.*s: %.*s\n  W=%d O=%d lookahead=%d "
-               "max_edits=%d cap=%d\n  target=%s\n  query=%s\n",
+               "max_edits=%d cap=%d isa=%s\n  target=%s\n  query=%s\n",
                static_cast<int>(backend.size()), backend.data(),
                static_cast<int>(what.size()), what.data(), c.cfg.window.window,
                c.cfg.window.overlap, c.cfg.window.lookahead,
-               c.cfg.window.max_edits, c.cap, c.target.c_str(),
+               c.cfg.window.max_edits, c.cap,
+               std::string(gx::simd::isaName(c.isa)).c_str(), c.target.c_str(),
                c.query.c_str());
   std::abort();
 }
@@ -182,6 +192,8 @@ void checkBackend(const Case& c, std::string_view name) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const Case c = decode(data, size);
+  // Every aligner built below packs its batches with this kernel.
+  gx::simd::forceIsa(c.isa);
   for (const std::string_view name :
        {"baseline", "improved", "windowed-baseline", "windowed-improved"}) {
     checkBackend(c, name);

@@ -177,19 +177,6 @@ std::size_t MinimizerIndex::distinctKeys() const noexcept {
   return n;
 }
 
-std::vector<IndexHit> MinimizerIndex::lookup(std::uint64_t key) const {
-  std::vector<IndexHit> hits;
-  auto [lo, hi] = std::equal_range(keys_.begin(), keys_.end(), key);
-  const std::size_t begin = static_cast<std::size_t>(lo - keys_.begin());
-  const std::size_t end = static_cast<std::size_t>(hi - keys_.begin());
-  hits.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    hits.push_back(IndexHit{static_cast<std::uint32_t>(values_[i] >> 1),
-                            (values_[i] & 1) != 0});
-  }
-  return hits;
-}
-
 IndexView MinimizerIndex::view(const refmodel::Reference& ref) const {
   return IndexView(&ref, keys_.data(), values_.data(), keys_.size(),
                    per_contig_kept_.data(), k_, w_, max_occ_);

@@ -1,7 +1,8 @@
 #pragma once
 // Sorted-array minimizer index over a multi-contig reference (minimap2-
-// style): build once, then O(log N) lookups returning all reference
-// positions of a minimizer. Positions are global (contig-table)
+// style): build once, then query through view(), whose O(log N)
+// IndexView::lookup returns all reference positions of a minimizer the
+// same way for a mapped index file. Positions are global (contig-table)
 // coordinates; extraction runs per contig so no seed ever spans a contig
 // boundary. Over-represented minimizers (repeats) are masked with an
 // occurrence cap, like minimap2's -f filtering.
@@ -84,10 +85,6 @@ class MinimizerIndex {
   [[nodiscard]] const std::vector<std::uint64_t>& values() const noexcept {
     return values_;
   }
-
-  /// All reference hits of `key` (empty if unknown or masked), in
-  /// ascending global position order.
-  [[nodiscard]] std::vector<IndexHit> lookup(std::uint64_t key) const;
 
   /// The non-owning query surface over this index and the reference it
   /// was built from. `ref` and this index must outlive the view.

@@ -76,9 +76,8 @@ class IndexView {
   }
 
   /// All reference hits of `key` (empty if unknown or masked), in
-  /// ascending global position order — same semantics and same binary
-  /// search as MinimizerIndex::lookup, so every index source answers
-  /// queries identically.
+  /// ascending global position order. The one lookup: every index
+  /// source (in-memory build or mapped file) answers through a view.
   [[nodiscard]] std::vector<IndexHit> lookup(std::uint64_t key) const {
     std::size_t lo = 0, hi = n_;
     while (lo < hi) {  // lower_bound over the sorted key array

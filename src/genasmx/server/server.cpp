@@ -173,6 +173,22 @@ void MapServer::acceptOne(int listen_fd) {
       [this, conn = std::move(conn)]() mutable { readerLoop(std::move(conn)); });
 }
 
+void MapServer::reapReaders() {
+  std::vector<std::thread::id> done;
+  {
+    std::lock_guard lock(queue_mu_);
+    done.swap(finished_readers_);
+  }
+  for (const std::thread::id id : done) {
+    const auto it =
+        std::find_if(reader_threads_.begin(), reader_threads_.end(),
+                     [id](const std::thread& t) { return t.get_id() == id; });
+    it->join();
+    *it = std::move(reader_threads_.back());
+    reader_threads_.pop_back();
+  }
+}
+
 void MapServer::serve() {
   if (unix_fd_ < 0 && tcp_fd_ < 0) start();
 
@@ -187,6 +203,7 @@ void MapServer::serve() {
     if (unix_fd_ >= 0) pfds[n++] = {unix_fd_, POLLIN, 0};
     if (tcp_fd_ >= 0) pfds[n++] = {tcp_fd_, POLLIN, 0};
     const int rc = ::poll(pfds, n, cfg_.poll_interval_ms);
+    reapReaders();
     if (rc <= 0) continue;  // tick (or EINTR): re-check the drain flag
     for (nfds_t i = 0; i < n; ++i) {
       if ((pfds[i].revents & POLLIN) != 0) acceptOne(pfds[i].fd);
@@ -481,6 +498,7 @@ void MapServer::readerLoop(ConnPtr conn) {
   {
     std::lock_guard lock(queue_mu_);
     --readers_active_;
+    finished_readers_.push_back(std::this_thread::get_id());
   }
   queue_cv_.notify_all();  // sessions may now see "no more producers"
 }

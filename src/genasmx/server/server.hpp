@@ -6,7 +6,8 @@
 // Thread model:
 //   - serve() runs the accept loop (poll-ticked so drain is observed).
 //   - One reader thread per connection parses frames and enqueues
-//     requests into ONE bounded central queue. A full queue answers with
+//     requests into ONE bounded central queue; the accept loop joins a
+//     reader once its connection ends. A full queue answers with
 //     an explicit retryable queue-full reply — load shedding is a
 //     protocol feature, never a silent hang.
 //   - One mapping thread per core (cfg.pipeline.engine.threads, 0 =
@@ -158,6 +159,8 @@ class MapServer {
   enum class ReadStatus { kOk, kEof, kClosed, kDrain, kTimeout };
 
   void acceptOne(int listen_fd);
+  /// Join the readers that have finished; accept loop only.
+  void reapReaders();
   void readerLoop(ConnPtr conn);
   void sessionLoop();
   void processGroup(MapSession& session, std::vector<Request>& group);
@@ -188,8 +191,12 @@ class MapServer {
   std::condition_variable queue_cv_;
   std::deque<Request> queue_;
   std::size_t readers_active_ = 0;  ///< guarded by queue_mu_
+  /// Readers that have left readerLoop and await a join; guarded by
+  /// queue_mu_. Joining them as the daemon runs returns each closed
+  /// connection's thread stack instead of holding it until drain.
+  std::vector<std::thread::id> finished_readers_;
 
-  std::vector<std::thread> reader_threads_;  ///< accept loop only, then join
+  std::vector<std::thread> reader_threads_;  ///< accept loop only
   std::vector<std::thread> session_threads_;
 
   mutable std::mutex stats_mu_;

@@ -24,21 +24,12 @@ std::uint64_t onesAboveWord(int d, int w) noexcept {
   return ~0ULL << (d - lo);
 }
 
-detail::FillFn fillFor(IsaLevel isa) noexcept {
-  switch (isa) {
-    case IsaLevel::Avx512: return detail::kFillAvx512;
-    case IsaLevel::Avx2: return detail::kFillAvx2;
-    case IsaLevel::Sse2: return detail::kFillSse2;
-    default: return detail::kFillScalar;
-  }
-}
-
 }  // namespace
 
 SimdBatchSolver::SimdBatchSolver(IsaLevel isa)
     : isa_(clampIsa(isa)),
       lanes_(isaLanes(isa_)),
-      fill_(fillFor(isa_)) {
+      fill_(*detail::isaInfo(isa_).fill) {
   lane_state_.resize(static_cast<std::size_t>(lanes_));
 }
 

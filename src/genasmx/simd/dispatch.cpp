@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "genasmx/simd/kernels.hpp"
-
 namespace gx::simd {
 namespace {
 
@@ -33,21 +31,8 @@ IsaLevel detect() noexcept {
 #if defined(GENASMX_FORCE_SCALAR)
   return IsaLevel::Scalar;
 #else
-  if (envForcesScalar()) return IsaLevel::Scalar;
-  if (isaSupported(IsaLevel::Avx512)) return IsaLevel::Avx512;
-  if (isaSupported(IsaLevel::Avx2)) return IsaLevel::Avx2;
-  if (isaSupported(IsaLevel::Sse2)) return IsaLevel::Sse2;
-  return IsaLevel::Scalar;
+  return envForcesScalar() ? IsaLevel::Scalar : clampIsa(IsaLevel::Avx512);
 #endif
-}
-
-/// Next level down the clamp chain Avx512 -> Avx2 -> Sse2 -> Scalar.
-IsaLevel lowerLevel(IsaLevel level) noexcept {
-  switch (level) {
-    case IsaLevel::Avx512: return IsaLevel::Avx2;
-    case IsaLevel::Avx2: return IsaLevel::Sse2;
-    default: return IsaLevel::Scalar;
-  }
 }
 
 std::atomic<int>& activeSlot() noexcept {
@@ -59,25 +44,11 @@ std::atomic<int>& activeSlot() noexcept {
 }  // namespace
 
 std::string_view isaName(IsaLevel level) noexcept {
-  switch (level) {
-    case IsaLevel::Avx512: return "avx512";
-    case IsaLevel::Avx2: return "avx2";
-    case IsaLevel::Sse2: return "sse2";
-    default: return "scalar";
-  }
+  return detail::isaInfo(level).name;
 }
 
 bool isaSupported(IsaLevel level) noexcept {
-  switch (level) {
-    case IsaLevel::Avx512:
-      return detail::kFillAvx512 != nullptr && cpuSupports(level);
-    case IsaLevel::Avx2:
-      return detail::kFillAvx2 != nullptr && cpuSupports(level);
-    case IsaLevel::Sse2:
-      return detail::kFillSse2 != nullptr && cpuSupports(level);
-    default:
-      return true;
-  }
+  return *detail::isaInfo(level).fill != nullptr && cpuSupports(level);
 }
 
 IsaLevel activeIsa() noexcept {
@@ -91,7 +62,7 @@ IsaLevel activeIsa() noexcept {
 
 IsaLevel clampIsa(IsaLevel level) noexcept {
   while (level != IsaLevel::Scalar && !isaSupported(level)) {
-    level = lowerLevel(level);
+    level = static_cast<IsaLevel>(static_cast<int>(level) - 1);
   }
   return level;
 }

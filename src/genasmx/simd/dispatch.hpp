@@ -23,8 +23,11 @@
 
 #include <string_view>
 
+#include "genasmx/simd/kernels.hpp"
+
 namespace gx::simd {
 
+/// Ordered: each level's clamp fallback is the one below it.
 enum class IsaLevel {
   Scalar = 0,  ///< one lane, plain uint64 ops — portable reference
   Sse2 = 1,    ///< 2 x 64-bit lanes (x86-64 baseline)
@@ -32,14 +35,32 @@ enum class IsaLevel {
   Avx512 = 3,  ///< 8 x 64-bit lanes (needs AVX-512 F + BW)
 };
 
+namespace detail {
+
+/// The per-level facts, in one place.
+struct IsaInfo {
+  std::string_view name;
+  int lanes;
+  const FillFn* fill;  ///< the kernel slot; *fill is null when not built
+};
+
+/// Indexed by IsaLevel.
+inline constexpr IsaInfo kIsaTable[] = {
+    {"scalar", 1, &kFillScalar},
+    {"sse2", 2, &kFillSse2},
+    {"avx2", 4, &kFillAvx2},
+    {"avx512", 8, &kFillAvx512},
+};
+
+[[nodiscard]] constexpr const IsaInfo& isaInfo(IsaLevel level) noexcept {
+  return kIsaTable[static_cast<int>(level)];
+}
+
+}  // namespace detail
+
 /// Lanes per SIMD register at this level.
 [[nodiscard]] constexpr int isaLanes(IsaLevel level) noexcept {
-  switch (level) {
-    case IsaLevel::Avx512: return 8;
-    case IsaLevel::Avx2: return 4;
-    case IsaLevel::Sse2: return 2;
-    default: return 1;
-  }
+  return detail::isaInfo(level).lanes;
 }
 
 [[nodiscard]] std::string_view isaName(IsaLevel level) noexcept;

@@ -3,13 +3,15 @@
 // kernels. One level of the GenASM-DC recurrence is advanced for every
 // lane of a group at once; everything else (pattern-mask packing, lane
 // bookkeeping, convergence checks, traceback) is ISA-independent scalar
-// code in batch_solver.cpp.
+// code in batch_solver.cpp. The recurrence itself is written once, in
+// fill_level.hpp; each kernels_<isa>.cpp instantiates it for its lane
+// count under its own compile flags.
 //
 // Memory layout is structure-of-arrays with the lane index innermost:
 // word w of column i of lane l lives at row[(i * nw + w) * L + l], so a
 // single vector load picks up the same word of all L lanes. Carries for
-// the shift-left-by-one propagate word to word by reloading word w-1 and
-// extracting its top bit — columns are short (nw <= 8) and cache-hot.
+// the shift-left-by-one propagate word to word in registers: the top
+// bit of word w-1, extracted as it is loaded, feeds word w.
 
 #include <cstdint>
 

@@ -1,77 +1,15 @@
-// AVX-512 fill kernel: 8 x 64-bit lanes per vector op. This TU is the
-// only one compiled with -mavx512f -mavx512bw (see CMakeLists); it must
-// contain no code that runs before dispatch confirms CPU support.
-// Without the flags the kernel is null and dispatch settles on AVX2,
-// SSE2, or scalar.
+// AVX-512 fill kernel (8 lanes). This TU is the only one compiled with
+// -mavx512f -mavx512bw (see CMakeLists); it must contain no code that
+// runs before dispatch confirms CPU support. Without the flags the
+// kernel is null and dispatch settles on AVX2, SSE2, or scalar.
 
-#include "genasmx/simd/kernels.hpp"
+#include "genasmx/simd/dispatch.hpp"
+#include "genasmx/simd/fill_level.hpp"
 
+namespace gx::simd::detail {
 #if defined(__AVX512F__) && defined(__AVX512BW__)
-#include <immintrin.h>
-
-namespace gx::simd::detail {
-namespace {
-
-void fillLevelAvx512(const FillArgs& a) {
-  constexpr int L = 8;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const long long bc = (a.both_ends && i - 1 > a.d) ? 1 : 0;
-    if (a.d == 0) {
-      __m512i carry = _mm512_set1_epi64(bc);
-      for (int w = 0; w < nw; ++w) {
-        const __m512i c = _mm512_loadu_si512(cur_im1 + w * L);
-        const __m512i pm = _mm512_loadu_si512(pm_i + w * L);
-        const __m512i r = _mm512_or_si512(
-            _mm512_or_si512(_mm512_slli_epi64(c, 1), carry), pm);
-        carry = _mm512_srli_epi64(c, 63);
-        _mm512_storeu_si512(cur_i + w * L, r);
-      }
-    } else {
-      const long long bp = (a.both_ends && i - 1 > a.d - 1) ? 1 : 0;
-      const long long bpi = (a.both_ends && i > a.d - 1) ? 1 : 0;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      __m512i carry_c = _mm512_set1_epi64(bc);
-      __m512i carry_p = _mm512_set1_epi64(bp);
-      __m512i carry_pi = _mm512_set1_epi64(bpi);
-      for (int w = 0; w < nw; ++w) {
-        const __m512i c = _mm512_loadu_si512(cur_im1 + w * L);
-        const __m512i p = _mm512_loadu_si512(prev_im1 + w * L);
-        const __m512i pi = _mm512_loadu_si512(prev_i + w * L);
-        const __m512i pm = _mm512_loadu_si512(pm_i + w * L);
-        __m512i r = _mm512_or_si512(
-            _mm512_or_si512(_mm512_slli_epi64(c, 1), carry_c), pm);
-        r = _mm512_and_si512(r,
-                             _mm512_or_si512(_mm512_slli_epi64(p, 1), carry_p));
-        r = _mm512_and_si512(r, p);
-        r = _mm512_and_si512(
-            r, _mm512_or_si512(_mm512_slli_epi64(pi, 1), carry_pi));
-        carry_c = _mm512_srli_epi64(c, 63);
-        carry_p = _mm512_srli_epi64(p, 63);
-        carry_pi = _mm512_srli_epi64(pi, 63);
-        _mm512_storeu_si512(cur_i + w * L, r);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-const FillFn kFillAvx512 = &fillLevelAvx512;
-
-}  // namespace gx::simd::detail
-
-#else  // !(__AVX512F__ && __AVX512BW__)
-
-namespace gx::simd::detail {
+const FillFn kFillAvx512 = &fillLevel<isaLanes(IsaLevel::Avx512)>;
+#else
 const FillFn kFillAvx512 = nullptr;
-}  // namespace gx::simd::detail
-
 #endif
+}  // namespace gx::simd::detail

@@ -1,58 +1,10 @@
-// Portable scalar-lane fill kernel: the bit-identical reference the
-// vector kernels are checked against, and the dispatch target on
-// non-x86 hosts or under GENASMX_FORCE_SCALAR. L = 1, so the SoA layout
-// degenerates to one contiguous bitvector per column.
+// Portable scalar-lane fill kernel (L = 1): the bit-identical reference
+// the vector kernels are checked against, and the dispatch target on
+// non-x86 hosts or under GENASMX_FORCE_SCALAR.
 
-#include "genasmx/simd/kernels.hpp"
+#include "genasmx/simd/dispatch.hpp"
+#include "genasmx/simd/fill_level.hpp"
 
 namespace gx::simd::detail {
-namespace {
-
-void fillLevelScalar(const FillArgs& a) {
-  constexpr int L = 1;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const std::uint64_t bc = (a.both_ends && i - 1 > a.d) ? 1u : 0u;
-    if (a.d == 0) {
-      std::uint64_t carry = bc;
-      for (int w = 0; w < nw; ++w) {
-        const std::uint64_t c = cur_im1[w];
-        cur_i[w] = ((c << 1) | carry) | pm_i[w];
-        carry = c >> 63;
-      }
-    } else {
-      const std::uint64_t bp = (a.both_ends && i - 1 > a.d - 1) ? 1u : 0u;
-      const std::uint64_t bpi = (a.both_ends && i > a.d - 1) ? 1u : 0u;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      std::uint64_t carry_c = bc;
-      std::uint64_t carry_p = bp;
-      std::uint64_t carry_pi = bpi;
-      for (int w = 0; w < nw; ++w) {
-        const std::uint64_t c = cur_im1[w];
-        const std::uint64_t p = prev_im1[w];
-        const std::uint64_t pi = prev_i[w];
-        std::uint64_t r = ((c << 1) | carry_c) | pm_i[w];
-        r &= (p << 1) | carry_p;
-        r &= p;
-        r &= (pi << 1) | carry_pi;
-        carry_c = c >> 63;
-        carry_p = p >> 63;
-        carry_pi = pi >> 63;
-        cur_i[w] = r;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-const FillFn kFillScalar = &fillLevelScalar;
-
+const FillFn kFillScalar = &fillLevel<isaLanes(IsaLevel::Scalar)>;
 }  // namespace gx::simd::detail

@@ -17,6 +17,7 @@
 #include "genasmx/engine/engine.hpp"
 #include "genasmx/engine/registry.hpp"
 #include "genasmx/genasm/genasm_baseline.hpp"
+#include "genasmx/simd/dispatch.hpp"
 #include "genasmx/util/mem_stats.hpp"
 #include "genasmx/util/prng.hpp"
 
@@ -133,6 +134,43 @@ TEST(DistanceBatch, MatchesPerPairDistanceAndHonorsCaps) {
   // Deterministic: same results on a single-threaded engine.
   engine::AlignmentEngine eng1(engine::EngineConfig{});
   EXPECT_EQ(eng1.distanceBatch(tasks), expected);
+}
+
+TEST(DistanceBatch, EveryIsaLevelMatchesScalarDistance) {
+  util::Xoshiro256 rng(37);
+  std::vector<std::string> targets, queries;
+  for (int i = 0; i < 24; ++i) {
+    const auto t = common::randomSequence(rng, 40 + rng.below(1200));
+    targets.push_back(t);
+    queries.push_back(common::mutateSequence(rng, t, rng.below(80)));
+  }
+  const auto active = simd::activeIsa();
+  // "improved" solves queries up to 512 bp as one multi-word window, so
+  // word-to-word carries in the lane kernels are exercised too.
+  for (const char* backend : {"windowed-improved", "improved"}) {
+    engine::EngineConfig ecfg;
+    ecfg.backend = backend;
+    // Expected values from the single-pair entry point (scalar solvers).
+    engine::AlignmentEngine scalar(ecfg);
+    std::vector<engine::DistanceTask> tasks;
+    std::vector<int> expected;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const int cap = (i % 3 == 0) ? -1 : static_cast<int>(i) * 3;
+      tasks.push_back({targets[i], queries[i], cap});
+      expected.push_back(scalar.distance(targets[i], queries[i], cap));
+    }
+    for (const auto level :
+         {simd::IsaLevel::Scalar, simd::IsaLevel::Sse2, simd::IsaLevel::Avx2,
+          simd::IsaLevel::Avx512}) {
+      if (!simd::isaSupported(level)) continue;
+      simd::forceIsa(level);
+      // Built after the force: its lane solvers pack at `level`.
+      engine::AlignmentEngine eng(ecfg);
+      EXPECT_EQ(eng.distanceBatch(tasks), expected)
+          << backend << " " << simd::isaName(level);
+    }
+  }
+  simd::forceIsa(active);
 }
 
 // ------------------------------------------------- solver-level kernels

@@ -392,7 +392,7 @@ io::PafRecord tinyRecord(const std::string& name) {
   rec.query_len = 10;
   rec.query_begin = 0;
   rec.query_end = 10;
-  rec.target_name = "t";
+  rec.target_name.assign(1, 't');  // GCC 12 false -Wrestrict on = "t"
   rec.target_len = 100;
   rec.target_begin = 0;
   rec.target_end = 10;
@@ -402,10 +402,18 @@ io::PafRecord tinyRecord(const std::string& name) {
   return rec;
 }
 
+/// "r<i>", built by append: GCC 12 flags `"r" + std::to_string(i)`
+/// with a false-positive -Wrestrict.
+std::string recordName(int i) {
+  std::string name(1, 'r');
+  name += std::to_string(i);
+  return name;
+}
+
 std::string cleanPafOutput(int records) {
   std::ostringstream out;
   io::PafWriter writer(out, 1);  // flush per record
-  for (int i = 0; i < records; ++i) writer.write(tinyRecord("r" + std::to_string(i)));
+  for (int i = 0; i < records; ++i) writer.write(tinyRecord(recordName(i)));
   writer.close();
   return out.str();
 }
@@ -447,7 +455,7 @@ TEST(PafFaults, TransientFaultsRetryToByteIdenticalOutput) {
     const io::ScopedFaultInjection guard(io::FaultPlan::parse(spec));
     std::ostringstream out;
     io::PafWriter writer(out, 1);
-    for (int i = 0; i < 3; ++i) writer.write(tinyRecord("r" + std::to_string(i)));
+    for (int i = 0; i < 3; ++i) writer.write(tinyRecord(recordName(i)));
     writer.close();
     EXPECT_EQ(out.str(), expected) << spec;
     EXPECT_GE(writer.retries(), 1u) << spec;

@@ -125,9 +125,10 @@ TEST(IndexIo, LookupParityBetweenSources) {
   // identically from the sorted arrays and from the mmap'd file, plus a
   // probe of absent keys.
   const IndexView& disk = mapped.view();
+  const IndexView memory = index.view(ref);
   for (std::size_t i = 0; i < index.size(); i += 97) {
     const std::uint64_t key = index.keys()[i];
-    const auto a = index.lookup(key);
+    const auto a = memory.lookup(key);
     const auto b = disk.lookup(key);
     ASSERT_EQ(a.size(), b.size()) << "key " << key;
     for (std::size_t h = 0; h < a.size(); ++h) {

@@ -89,11 +89,13 @@ TEST(Index, LookupFindsIndexedPositions) {
   const auto genome = testGenome(100'000);
   MinimizerIndex index;
   index.build(genome, 15, 10, 1'000);
+  const refmodel::Reference ref("genome", genome);
+  const IndexView view = index.view(ref);
   const auto mins = extractMinimizers(genome, 15, 10);
   ASSERT_FALSE(mins.empty());
   // Every indexed minimizer must be findable at its own position.
   for (std::size_t i = 0; i < mins.size(); i += 97) {
-    const auto hits = index.lookup(mins[i].key);
+    const auto hits = view.lookup(mins[i].key);
     const bool found = std::any_of(hits.begin(), hits.end(), [&](const IndexHit& h) {
       return h.pos == mins[i].pos;
     });
@@ -105,7 +107,8 @@ TEST(Index, UnknownKeyReturnsEmpty) {
   const auto genome = testGenome(50'000);
   MinimizerIndex index;
   index.build(genome, 15, 10, 64);
-  EXPECT_TRUE(index.lookup(0xdeadbeefcafef00dULL).empty());
+  const refmodel::Reference ref("genome", genome);
+  EXPECT_TRUE(index.view(ref).lookup(0xdeadbeefcafef00dULL).empty());
 }
 
 TEST(Index, OccurrenceCapMasksRepeats) {
@@ -332,10 +335,11 @@ TEST(Index, MultiContigBuildNeverEmitsCrossBoundarySeeds) {
   const auto ref = multiContigRef(5);
   MinimizerIndex index;
   index.build(ref, 15, 10, 1'000'000);
+  const IndexView view = index.view(ref);
   for (std::uint32_t c = 0; c < ref.contigCount(); ++c) {
     const auto mins = extractMinimizers(ref.contigView(c), 15, 10);
     for (std::size_t i = 0; i < mins.size(); i += 101) {
-      const auto hits = index.lookup(mins[i].key);
+      const auto hits = view.lookup(mins[i].key);
       const std::size_t global = ref.contig(c).offset + mins[i].pos;
       const bool found =
           std::any_of(hits.begin(), hits.end(),
