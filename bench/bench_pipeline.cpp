@@ -54,6 +54,37 @@ std::vector<io::FastxRecord> toFastx(
   return out;
 }
 
+/// In-process repetitions of each kernel pass: one ~40 ms pass cannot
+/// tell a 10% shift from host noise, so the bench reports the median of
+/// 25 with its interquartile range.
+constexpr int kKernelPasses = 25;
+
+/// Per-pass wall seconds of kKernelPasses runs of fn, after one untimed
+/// warm-up run.
+template <class Fn>
+util::Summary timePasses(Fn&& fn) {
+  fn();
+  util::Summary s;
+  for (int i = 0; i < kKernelPasses; ++i) {
+    util::Timer t;
+    fn();
+    s.add(t.seconds());
+  }
+  return s;
+}
+
+double iqr(const util::Summary& s) {
+  return s.percentile(75.0) - s.percentile(25.0);
+}
+
+double perSec(std::size_t n, double seconds) {
+  return seconds > 0 ? static_cast<double>(n) / seconds : 0;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0;
+}
+
 struct FlowTiming {
   double seconds = 0;
   double reads_per_sec = 0;
@@ -197,36 +228,33 @@ int runTracked(bench::WorkloadConfig cfg) {
     d_rev.push_back(common::reversed(wp.text));
     d_rev.push_back(common::reversed(wp.pattern));
   }
-  for (std::size_t i = 0; i < dwin.size(); ++i) {
-    d_scalar[i] = solver.solveDistance(d_rev[2 * i], d_rev[2 * i + 1], dspec);
-  }
-  util::Timer t_dscalar;
-  for (std::size_t i = 0; i < dwin.size(); ++i) {
-    d_scalar[i] = solver.solveDistance(d_rev[2 * i], d_rev[2 * i + 1], dspec);
-  }
-  const double dscalar_seconds = t_dscalar.seconds();
+  const util::Summary dscalar_pass = timePasses([&] {
+    for (std::size_t i = 0; i < dwin.size(); ++i) {
+      d_scalar[i] =
+          solver.solveDistance(d_rev[2 * i], d_rev[2 * i + 1], dspec);
+    }
+  });
   simd::SimdBatchSolver batch_solver(isa);
-  batch_solver.solveDistanceBatch(genasm::Anchor::StartOnly, dwin.data(),
-                                  dwin.size(), d_batched.data());
-  util::Timer t_dbatch;
-  batch_solver.solveDistanceBatch(genasm::Anchor::StartOnly, dwin.data(),
-                                  dwin.size(), d_batched.data());
-  const double dbatch_seconds = t_dbatch.seconds();
+  const util::Summary dbatch_pass = timePasses([&] {
+    batch_solver.solveDistanceBatch(genasm::Anchor::StartOnly, dwin.data(),
+                                    dwin.size(), d_batched.data());
+  });
   if (d_scalar != d_batched) {
     std::fprintf(stderr, "batched distance kernel diverged from scalar\n");
     return 1;
   }
-  const double dscalar_wps =
-      dscalar_seconds > 0 ? static_cast<double>(dwin.size()) / dscalar_seconds
-                          : 0;
-  const double dbatch_wps =
-      dbatch_seconds > 0 ? static_cast<double>(dwin.size()) / dbatch_seconds
-                         : 0;
+  const double dscalar_seconds = dscalar_pass.median();
+  const double dbatch_seconds = dbatch_pass.median();
+  const double dscalar_wps = perSec(dwin.size(), dscalar_seconds);
+  const double dbatch_wps = perSec(dwin.size(), dbatch_seconds);
   const double dspeedup = dscalar_wps > 0 ? dbatch_wps / dscalar_wps : 0;
-  std::printf("distance kernel (W=64, %zu windows, isa=%s, %d lanes): "
-              "scalar %.0f windows/s, batched %.0f windows/s (%.2fx)\n",
+  std::printf("distance kernel (W=64, %zu windows, isa=%s, %d lanes, "
+              "median of %d passes): scalar %.0f windows/s (IQR %.1f%%), "
+              "batched %.0f windows/s (IQR %.1f%%) (%.2fx)\n",
               dwin.size(), std::string(simd::isaName(isa)).c_str(),
-              batch_solver.lanes(), dscalar_wps, dbatch_wps, dspeedup);
+              batch_solver.lanes(), kKernelPasses, dscalar_wps,
+              100.0 * iqr(dscalar_pass) / dscalar_seconds, dbatch_wps,
+              100.0 * iqr(dbatch_pass) / dbatch_seconds, dspeedup);
 
   // --- alignment kernel: scalar solve (fill + traceback) vs the
   // lane-parallel alignBatch over the same W=64 window problems. The
@@ -235,23 +263,20 @@ int runTracked(bench::WorkloadConfig cfg) {
   // both paths must agree cigar for cigar.
   std::vector<genasm::WindowResult> a_scalar(dwin.size());
   std::vector<genasm::WindowResult> a_batched(dwin.size());
-  for (std::size_t i = 0; i < dwin.size(); ++i) {
-    a_scalar[i] = solver.solve(d_rev[2 * i], d_rev[2 * i + 1], dspec);
-  }
-  util::Timer t_ascalar;
-  for (std::size_t i = 0; i < dwin.size(); ++i) {
-    a_scalar[i] = solver.solve(d_rev[2 * i], d_rev[2 * i + 1], dspec);
-  }
-  const double ascalar_seconds = t_ascalar.seconds();
+  const util::Summary ascalar_pass = timePasses([&] {
+    for (std::size_t i = 0; i < dwin.size(); ++i) {
+      a_scalar[i] = solver.solve(d_rev[2 * i], d_rev[2 * i + 1], dspec);
+    }
+  });
   simd::SimdBatchSolver align_solver(isa);
-  align_solver.alignBatch(genasm::Anchor::StartOnly, dwin.data(), dwin.size(),
-                          a_batched.data());
-  align_solver.resetStats();
-  util::Timer t_abatch;
-  align_solver.alignBatch(genasm::Anchor::StartOnly, dwin.data(), dwin.size(),
-                          a_batched.data());
-  const double abatch_seconds = t_abatch.seconds();
+  const auto align_pass = [&] {
+    align_solver.alignBatch(genasm::Anchor::StartOnly, dwin.data(),
+                            dwin.size(), a_batched.data());
+  };
+  // One counted pass for the occupancy figures, then the timed passes.
+  align_pass();
   const simd::BatchStats a_stats = align_solver.stats();
+  const util::Summary abatch_pass = timePasses(align_pass);
   for (std::size_t i = 0; i < dwin.size(); ++i) {
     if (a_scalar[i].ok != a_batched[i].ok ||
         a_scalar[i].distance != a_batched[i].distance ||
@@ -267,29 +292,22 @@ int runTracked(bench::WorkloadConfig cfg) {
   align_unsorted.alignBatch(genasm::Anchor::StartOnly, dwin.data(),
                             dwin.size(), a_batched.data());
   const simd::BatchStats u_stats = align_unsorted.stats();
-  const double ascalar_wps =
-      ascalar_seconds > 0 ? static_cast<double>(dwin.size()) / ascalar_seconds
-                          : 0;
-  const double abatch_wps =
-      abatch_seconds > 0 ? static_cast<double>(dwin.size()) / abatch_seconds
-                         : 0;
+  const double ascalar_seconds = ascalar_pass.median();
+  const double abatch_seconds = abatch_pass.median();
+  const double ascalar_wps = perSec(dwin.size(), ascalar_seconds);
+  const double abatch_wps = perSec(dwin.size(), abatch_seconds);
   const double aspeedup = ascalar_wps > 0 ? abatch_wps / ascalar_wps : 0;
-  const double occupancy =
-      a_stats.lane_slots > 0 ? static_cast<double>(a_stats.lanes_filled) /
-                                   static_cast<double>(a_stats.lane_slots)
-                             : 0;
-  const double pack_sorted =
-      a_stats.packed_words > 0 ? static_cast<double>(a_stats.useful_words) /
-                                     static_cast<double>(a_stats.packed_words)
-                               : 0;
+  const double occupancy = ratio(a_stats.lanes_filled, a_stats.lane_slots);
+  const double pack_sorted = ratio(a_stats.useful_words, a_stats.packed_words);
   const double pack_unsorted =
-      u_stats.packed_words > 0 ? static_cast<double>(u_stats.useful_words) /
-                                     static_cast<double>(u_stats.packed_words)
-                               : 0;
-  std::printf("align kernel (W=64, %zu windows, isa=%s, %d lanes): "
-              "scalar %.0f windows/s, batched %.0f windows/s (%.2fx)\n",
+      ratio(u_stats.useful_words, u_stats.packed_words);
+  std::printf("align kernel (W=64, %zu windows, isa=%s, %d lanes, "
+              "median of %d passes): scalar %.0f windows/s (IQR %.1f%%), "
+              "batched %.0f windows/s (IQR %.1f%%) (%.2fx)\n",
               dwin.size(), std::string(simd::isaName(isa)).c_str(),
-              align_solver.lanes(), ascalar_wps, abatch_wps, aspeedup);
+              align_solver.lanes(), kKernelPasses, ascalar_wps,
+              100.0 * iqr(ascalar_pass) / ascalar_seconds, abatch_wps,
+              100.0 * iqr(abatch_pass) / abatch_seconds, aspeedup);
   std::printf("  lane occupancy %.4f (%llu/%llu), packing efficiency "
               "%.4f sorted vs %.4f unsorted\n",
               occupancy,
@@ -301,7 +319,10 @@ int runTracked(bench::WorkloadConfig cfg) {
   // workload's full pairs (the path pipeline phase 2 runs). Once the
   // lane arenas and march scratch are warm, re-running the identical
   // request set must grow nothing — the batched twin of the scalar
-  // steady_scratch_allocs figure above.
+  // steady_scratch_allocs figure above. The steady pass also gives the
+  // level occupancy: the march hints each window with its request's
+  // previous window distance, which the hint-less kernel pass above
+  // cannot show.
   std::vector<core::BatchedAlignRequest> march_reqs;
   march_reqs.reserve(w.pairs.size());
   for (const auto& p : w.pairs) march_reqs.push_back({p.target, p.query});
@@ -312,18 +333,27 @@ int runTracked(bench::WorkloadConfig cfg) {
                            march_scratch);
   const std::uint64_t march_solver_warm = align_solver.scratchAllocs();
   const std::uint64_t march_scratch_warm = march_scratch.allocs();
+  align_solver.resetStats();
   core::alignWindowedBatch(align_solver, wcfg, march_reqs.data(),
                            march_reqs.size(), march_res.data(),
                            march_scratch);
   const std::uint64_t march_steady_allocs =
       (align_solver.scratchAllocs() - march_solver_warm) +
       (march_scratch.allocs() - march_scratch_warm);
+  const simd::BatchStats m_stats = align_solver.stats();
+  const double level_occupancy =
+      ratio(m_stats.levels_useful, m_stats.levels_issued);
   std::printf("  batched march steady-state scratch allocations: %llu "
               "(per window: %.4f — must be 0)\n",
               static_cast<unsigned long long>(march_steady_allocs),
               windows > 0
                   ? static_cast<double>(march_steady_allocs) / windows
                   : 0);
+  std::printf("  batched march level occupancy %.4f (%llu/%llu useful "
+              "lane-levels)\n",
+              level_occupancy,
+              static_cast<unsigned long long>(m_stats.levels_useful),
+              static_cast<unsigned long long>(m_stats.levels_issued));
 
   // --- index build: serial vs per-contig-parallel over a contig table
   // (the tracked genome sliced into 8 contigs, the multi-contig shape
@@ -523,8 +553,11 @@ int runTracked(bench::WorkloadConfig cfg) {
         .num("window_bp", 64)
         .str("isa", std::string(simd::isaName(isa)))
         .num("lanes", batch_solver.lanes())
+        .num("passes", kKernelPasses)
         .num("scalar_seconds", dscalar_seconds)
+        .num("scalar_seconds_iqr", iqr(dscalar_pass))
         .num("batched_seconds", dbatch_seconds)
+        .num("batched_seconds_iqr", iqr(dbatch_pass))
         .num("distance_scalar_windows_per_sec", dscalar_wps)
         .num("distance_batched_windows_per_sec", dbatch_wps)
         .num("speedup_batched_vs_scalar", dspeedup);
@@ -533,8 +566,11 @@ int runTracked(bench::WorkloadConfig cfg) {
         .num("window_bp", 64)
         .str("isa", std::string(simd::isaName(isa)))
         .num("lanes", align_solver.lanes())
+        .num("passes", kKernelPasses)
         .num("scalar_seconds", ascalar_seconds)
+        .num("scalar_seconds_iqr", iqr(ascalar_pass))
         .num("batched_seconds", abatch_seconds)
+        .num("batched_seconds_iqr", iqr(abatch_pass))
         .num("align_scalar_windows_per_sec", ascalar_wps)
         .num("align_batched_windows_per_sec", abatch_wps)
         .num("speedup_batched_vs_scalar", aspeedup)
@@ -543,6 +579,9 @@ int runTracked(bench::WorkloadConfig cfg) {
         .num("lane_occupancy", occupancy)
         .num("packing_efficiency_sorted", pack_sorted)
         .num("packing_efficiency_unsorted", pack_unsorted)
+        .num("levels_issued", m_stats.levels_issued)
+        .num("levels_useful", m_stats.levels_useful)
+        .num("level_occupancy", level_occupancy)
         .num("march_steady_scratch_allocs", march_steady_allocs)
         .num("march_steady_scratch_allocs_per_window",
              windows > 0

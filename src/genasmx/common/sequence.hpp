@@ -15,30 +15,49 @@ namespace gx::common {
 inline constexpr int kAlphabetSize = 4;
 inline constexpr char kBases[kAlphabetSize + 1] = "ACGT";
 
-/// Map ACGT (case-insensitive) to 0..3. Any other character (incl. N)
-/// maps to 0; alignment semantics treat it as 'A'.
-[[nodiscard]] constexpr std::uint8_t baseCode(char c) noexcept {
-  switch (c) {
-    case 'A': case 'a': return 0;
-    case 'C': case 'c': return 1;
-    case 'G': case 'g': return 2;
-    case 'T': case 't': return 3;
-    default: return 0;
+namespace detail {
+
+/// 256-entry lookup tables behind baseCode() and complement(). A table
+/// load replaces a 4-way switch whose branch mispredicts on random DNA;
+/// mask packing, minimizer extraction and the lane traceback probe call
+/// baseCode once per base.
+struct BaseTables {
+  std::uint8_t code[256] = {};
+  char complement[256] = {};
+
+  constexpr BaseTables() {
+    for (char& c : complement) c = 'A';
+    constexpr char kUpper[] = "ACGT";
+    constexpr char kLower[] = "acgt";
+    constexpr char kComp[] = "TGCA";
+    for (int i = 0; i < kAlphabetSize; ++i) {
+      const auto u = static_cast<unsigned char>(kUpper[i]);
+      const auto l = static_cast<unsigned char>(kLower[i]);
+      code[u] = code[l] = static_cast<std::uint8_t>(i);
+      complement[u] = complement[l] = kComp[i];
+    }
   }
+};
+
+inline constexpr BaseTables kBaseTables{};
+
+}  // namespace detail
+
+/// Map ACGT (case-insensitive) to 0..3. Every other byte, N included,
+/// maps to 0, so alignment, seeding and packing treat it as 'A'.
+[[nodiscard]] constexpr std::uint8_t baseCode(char c) noexcept {
+  return detail::kBaseTables.code[static_cast<unsigned char>(c)];
 }
 
 [[nodiscard]] constexpr char codeBase(std::uint8_t code) noexcept {
   return kBases[code & 3u];
 }
 
+/// Watson-Crick complement of ACGT (case-insensitive, upper-case out).
+/// Every other byte, N included, maps to 'A': a reverse-complemented N
+/// therefore codes as A on the minus strand too, not as T.
 [[nodiscard]] constexpr char complement(char c) noexcept {
-  switch (c) {
-    case 'A': case 'a': return 'T';
-    case 'C': case 'c': return 'G';
-    case 'G': case 'g': return 'C';
-    case 'T': case 't': return 'A';
-    default: return 'A';
-  }
+  return detail::kBaseTables.complement[static_cast<unsigned char>(c)];
 }
 
 /// Reverse a sequence (no complement). GenASM runs its automaton on

@@ -22,6 +22,7 @@ using March = WindowedBatchScratch::March;
 /// What the batched march reads back from one solved lane.
 struct LaneStep {
   bool ok;
+  int distance;
   std::uint64_t text_consumed;
   std::uint64_t pattern_consumed;
 };
@@ -46,7 +47,8 @@ struct DistanceLanes {
                             probs.size(), outs.data());
   }
   [[nodiscard]] LaneStep step(std::size_t j) const {
-    return {outs[j].ok, outs[j].text_consumed, outs[j].pattern_consumed};
+    return {outs[j].ok, outs[j].distance, outs[j].text_consumed,
+            outs[j].pattern_consumed};
   }
   bool commit(std::size_t, std::size_t j, March& m) const {
     m.acc += outs[j].edits;
@@ -84,7 +86,7 @@ struct AlignLanes {
                       wrs.data());
   }
   [[nodiscard]] LaneStep step(std::size_t j) const {
-    return {wrs[j].ok, wrs[j].cigar.targetLength(),
+    return {wrs[j].ok, wrs[j].distance, wrs[j].cigar.targetLength(),
             wrs[j].cigar.queryLength()};
   }
   bool commit(std::size_t r, std::size_t j, March&) const {
@@ -107,7 +109,8 @@ struct AlignLanes {
 };
 
 /// Build the current window problem for one live request: the cursor-to-
-/// window mapping, final-window text slack included. Pre: rem_t > 0 &&
+/// window mapping, final-window text slack included, and the previous
+/// window's distance as the lane packing hint. Pre: rem_t > 0 &&
 /// rem_q > 0.
 simd::WindowProblem currentWindow(const WindowConfig& cfg,
                                   std::string_view target,
@@ -124,6 +127,7 @@ simd::WindowProblem currentWindow(const WindowConfig& cfg,
   p.text = target.substr(m.ti, std::min(rem_t, q_len + slack));
   p.pattern = query.substr(m.qi, q_len);
   p.tb_op_limit = m.is_final ? -1 : cfg.window - cfg.overlap;
+  p.level_hint = m.last_distance;
   return p;
 }
 
@@ -207,6 +211,7 @@ void marchWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
       }
       m.ti += s.text_consumed;
       m.qi += s.pattern_consumed;
+      m.last_distance = s.distance;
     }
   }
 }

@@ -232,12 +232,15 @@ struct BatchedAlignRequest {
 /// asserts both stay flat at steady state.
 struct WindowedBatchScratch {
   /// One request's march state: cursors, committed edits (distance
-  /// march) against the cap's budget, and the current window's kind.
+  /// march) against the cap's budget, the current window's kind, and
+  /// the last committed window's distance (the next window's lane
+  /// packing hint, see simd::WindowProblem::level_hint).
   struct March {
     std::size_t ti = 0;
     std::size_t qi = 0;
     std::uint64_t acc = 0;
     std::uint64_t budget = ~0ULL;
+    int last_distance = -1;  ///< -1 until a window commits
     bool done = false;
     bool is_final = false;  ///< current window is the final window
   };

@@ -43,18 +43,22 @@ void SimdBatchSolver::prepareOrder(genasm::Anchor anchor,
 
   // Deterministic shape key: problems sharing pattern width and text
   // length pack into groups with no padding at all; the descending
-  // order keeps the widest (most padding-prone) shapes together. An
-  // in-place index sort with the input position as the final tiebreak
-  // is exactly a stable sort, minus stable_sort's per-call temporary
-  // buffer (which would break steady-state allocation-freedom).
+  // order keeps the widest (most padding-prone) shapes together. Within
+  // a shape, the predicted d_min groups lanes that converge at similar
+  // levels, so fewer lanes idle while the group's slowest one finishes.
+  // An in-place index sort with the input position as the final
+  // tiebreak is exactly a stable sort, minus stable_sort's per-call
+  // temporary buffer (which would break steady-state allocation-
+  // freedom).
+  using Key = std::tuple<int, int, int, int>;
   const auto key = [&](std::size_t idx) {
     const WindowProblem& p = problems[idx];
     const int m = static_cast<int>(p.pattern.size());
     const int n = static_cast<int>(p.text.size());
-    if (m <= 0 || m > kMaxPatternBits) return std::tuple<int, int, int>{};
+    if (m <= 0 || m > kMaxPatternBits) return Key{};
     const int k = p.max_edits >= 0 ? p.max_edits
                                    : genasm::autoEditCap(n, m, anchor);
-    return std::tuple<int, int, int>{bitvector::wordsNeeded(m), n, k};
+    return Key{bitvector::wordsNeeded(m), n, k, p.level_hint};
   };
   std::sort(order_.begin(), order_.end(),
             [&](std::size_t a, std::size_t b) {
@@ -139,6 +143,42 @@ int SimdBatchSolver::packGroup(genasm::Anchor anchor,
   return valid;
 }
 
+int SimdBatchSolver::runLevel(std::uint64_t* cur, const std::uint64_t* prev,
+                              int nw, int d, bool both) {
+  int n_act = 0;
+  int active = 0;
+  for (const Lane& lane : lane_state_) {
+    if (!lane.active) continue;
+    n_act = std::max(n_act, lane.n);
+    ++active;
+  }
+  stats_.levels_issued += static_cast<std::uint64_t>(lanes_);
+  stats_.levels_useful += static_cast<std::uint64_t>(active);
+  for (int w = 0; w < nw; ++w) {
+    const std::uint64_t v = onesAboveWord(d, w);
+    std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
+    for (int l = 0; l < lanes_; ++l) dst[l] = v;
+  }
+  fill_(detail::FillArgs{cur, prev, pm_.data(), n_act, nw, d, both});
+  int retired = 0;
+  for (int l = 0; l < lanes_; ++l) {
+    Lane& lane = lane_state_[static_cast<std::size_t>(l)];
+    if (!lane.active) continue;
+    const int mb = lane.m - 1;
+    const std::uint64_t v =
+        cur[(static_cast<std::size_t>(lane.n) * nw +
+             static_cast<std::size_t>(mb >> 6)) *
+                lanes_ +
+            static_cast<std::size_t>(l)];
+    const bool converged = ((v >> (mb & 63)) & 1) == 0;
+    if (!converged && d != lane.k) continue;
+    lane.dmin = converged ? d : -1;
+    lane.active = false;
+    ++retired;
+  }
+  return retired;
+}
+
 void SimdBatchSolver::runDistanceGroup(genasm::Anchor anchor, int nw,
                                        int n_max, int valid) {
   const std::size_t colstride =
@@ -150,38 +190,8 @@ void SimdBatchSolver::runDistanceGroup(genasm::Anchor anchor, int nw,
   std::uint64_t* cur = row_a_.data();
   std::uint64_t* prev = row_b_.data();
   const bool both = anchor == genasm::Anchor::BothEnds;
-
-  int remaining = valid;
-  for (int d = 0; remaining > 0; ++d) {
-    int n_act = 0;
-    for (const Lane& lane : lane_state_) {
-      if (lane.active) n_act = std::max(n_act, lane.n);
-    }
-    for (int w = 0; w < nw; ++w) {
-      const std::uint64_t v = onesAboveWord(d, w);
-      std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
-      for (int l = 0; l < lanes_; ++l) dst[l] = v;
-    }
-    fill_(detail::FillArgs{cur, prev, pm_.data(), n_act, nw, d, both});
-    for (int l = 0; l < lanes_; ++l) {
-      Lane& lane = lane_state_[static_cast<std::size_t>(l)];
-      if (!lane.active) continue;
-      const int mb = lane.m - 1;
-      const std::uint64_t v =
-          cur[(static_cast<std::size_t>(lane.n) * nw +
-               static_cast<std::size_t>(mb >> 6)) *
-                  lanes_ +
-              static_cast<std::size_t>(l)];
-      if (((v >> (mb & 63)) & 1) == 0) {
-        lane.dmin = d;
-        lane.active = false;
-        --remaining;
-      } else if (d == lane.k) {
-        lane.dmin = -1;
-        lane.active = false;
-        --remaining;
-      }
-    }
+  for (int d = 0, remaining = valid; remaining > 0; ++d) {
+    remaining -= runLevel(cur, prev, nw, d, both);
     std::swap(cur, prev);
   }
 }
@@ -197,42 +207,13 @@ void SimdBatchSolver::runPersistedFill(genasm::Anchor anchor, int nw,
   // Level-major fill with per-level row persistence: the arena grows one
   // row at a time (monotonically across groups), so lanes that converge
   // early never claim deeper levels.
-  int remaining = valid;
-  for (int d = 0; remaining > 0; ++d) {
+  for (int d = 0, remaining = valid; remaining > 0; ++d) {
     ensureScratch(rows_, static_cast<std::size_t>(d + 1) * row_words);
     std::uint64_t* cur = rows_.data() + static_cast<std::size_t>(d) * row_words;
     const std::uint64_t* prev =
         d > 0 ? rows_.data() + static_cast<std::size_t>(d - 1) * row_words
               : nullptr;
-    int n_act = 0;
-    for (const Lane& lane : lane_state_) {
-      if (lane.active) n_act = std::max(n_act, lane.n);
-    }
-    for (int w = 0; w < nw; ++w) {
-      const std::uint64_t v = onesAboveWord(d, w);
-      std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
-      for (int l = 0; l < lanes_; ++l) dst[l] = v;
-    }
-    fill_(detail::FillArgs{cur, prev, pm_.data(), n_act, nw, d, both});
-    for (int l = 0; l < lanes_; ++l) {
-      Lane& lane = lane_state_[static_cast<std::size_t>(l)];
-      if (!lane.active) continue;
-      const int mb = lane.m - 1;
-      const std::uint64_t v =
-          cur[(static_cast<std::size_t>(lane.n) * nw +
-               static_cast<std::size_t>(mb >> 6)) *
-                  lanes_ +
-              static_cast<std::size_t>(l)];
-      if (((v >> (mb & 63)) & 1) == 0) {
-        lane.dmin = d;
-        lane.active = false;
-        --remaining;
-      } else if (d == lane.k) {
-        lane.dmin = -1;
-        lane.active = false;
-        --remaining;
-      }
-    }
+    remaining -= runLevel(cur, prev, nw, d, both);
   }
 }
 

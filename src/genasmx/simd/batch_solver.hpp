@@ -32,13 +32,18 @@
 //
 // Shape sorting (on by default, setShapeSort): a group's geometry pads
 // every lane to the widest member's pattern words and text length, so
-// ragged batches waste word-updates. The solver therefore packs lanes
-// in shape order — a deterministic index sort by (pattern words, text
-// length, edit budget) — and scatters results back to input positions.
-// Per-lane results are unchanged by construction: a lane's DP columns
-// and traceback reads never touch another lane's words, and group
-// geometry only pads. Occupancy is tracked in stats() so the perf
-// harness can report padding with and without the sort.
+// ragged batches waste word-updates; and a group runs levels until its
+// slowest lane converges, so lanes that converge early idle. The solver
+// therefore packs lanes in shape order — a deterministic index sort by
+// (pattern words, text length, edit budget, level_hint), descending,
+// input position breaking ties — and scatters results back to input
+// positions. level_hint is the caller's predicted d_min (the windowed
+// marches pass each request's previous window distance), so windows
+// that converge at similar levels share a group. Per-lane results are
+// unchanged by construction: a lane's DP columns and traceback reads
+// never touch another lane's words, group geometry only pads, and extra
+// levels only run after the lane has retired. Word and level occupancy
+// are tracked in stats() so the perf harness can report both.
 //
 // Instances own monotone scratch arenas and are not thread-safe: keep
 // one per worker (the engine's aligners each hold one). scratchAllocs()
@@ -57,12 +62,15 @@ namespace gx::simd {
 
 /// One window problem, original orientation. max_edits is the per-lane
 /// level cap (-1 = the always-solvable autoEditCap); tb_op_limit bounds
-/// the traceback (ignored by solveDistanceBatch).
+/// the traceback (ignored by solveDistanceBatch). level_hint is the
+/// predicted d_min (-1 = unknown); it only steers lane packing, so any
+/// value, wrong or absurd, gives the same results.
 struct WindowProblem {
   std::string_view text;
   std::string_view pattern;
   int max_edits = -1;
   int tb_op_limit = -1;
+  int level_hint = -1;
 };
 
 /// solveWindowBatch outcome: the WindowResult-derived values the
@@ -81,13 +89,18 @@ struct WindowOutcome {
 /// positions carried a real problem; word counts say how much of the
 /// issued per-level fill work was useful (a lane's own pattern words x
 /// its own text length) versus the group geometry it was padded to —
-/// the figure shape sorting improves on ragged batches.
+/// the figure shape sorting improves on ragged batches. Level counts say
+/// how many issued lane-levels ran a lane that had not yet converged or
+/// capped out (levels_useful / levels_issued is the level occupancy the
+/// level_hint sort improves).
 struct BatchStats {
   std::uint64_t groups = 0;
-  std::uint64_t lane_slots = 0;    ///< L per group, summed
-  std::uint64_t lanes_filled = 0;  ///< slots holding a valid problem
-  std::uint64_t packed_words = 0;  ///< group geometry: L x nw x n_max
-  std::uint64_t useful_words = 0;  ///< per valid lane: own nw x own n
+  std::uint64_t lane_slots = 0;     ///< L per group, summed
+  std::uint64_t lanes_filled = 0;   ///< slots holding a valid problem
+  std::uint64_t packed_words = 0;   ///< group geometry: L x nw x n_max
+  std::uint64_t useful_words = 0;   ///< per valid lane: own nw x own n
+  std::uint64_t levels_issued = 0;  ///< L per level run, summed
+  std::uint64_t levels_useful = 0;  ///< lanes still active per level run
 };
 
 class SimdBatchSolver {
@@ -152,9 +165,9 @@ class SimdBatchSolver {
   }
 
   /// Fill order_[0..count): identity, or the deterministic shape sort
-  /// (descending pattern words / text length / edit budget, input order
-  /// breaking ties — equivalent to a stable sort, without its per-call
-  /// temporary buffer).
+  /// (descending pattern words / text length / edit budget / level_hint,
+  /// input order breaking ties — equivalent to a stable sort, without
+  /// its per-call temporary buffer).
   void prepareOrder(genasm::Anchor anchor, const WindowProblem* problems,
                     std::size_t count);
 
@@ -165,6 +178,13 @@ class SimdBatchSolver {
   int packGroup(genasm::Anchor anchor, const WindowProblem* problems,
                 const std::size_t* order, std::size_t group, int& nw,
                 int& n_max);
+
+  /// Run level d for every active lane: seed cur's column 0, fill the
+  /// columns the widest active lane needs, then retire the lanes that
+  /// converge at d (dmin = d) or reach their cap (dmin stays -1).
+  /// Counts the level in stats(); returns the number of lanes retired.
+  int runLevel(std::uint64_t* cur, const std::uint64_t* prev, int nw, int d,
+               bool both);
 
   void runDistanceGroup(genasm::Anchor anchor, int nw, int n_max, int valid);
 

@@ -28,6 +28,47 @@ TEST(Sequence, Complement) {
   EXPECT_EQ(complement('G'), 'C');
 }
 
+// The switch forms baseCode/complement had before they became table
+// lookups: the oracle the tables must match on every byte value.
+std::uint8_t switchBaseCode(char c) {
+  switch (c) {
+    case 'A': case 'a': return 0;
+    case 'C': case 'c': return 1;
+    case 'G': case 'g': return 2;
+    case 'T': case 't': return 3;
+    default: return 0;
+  }
+}
+
+char switchComplement(char c) {
+  switch (c) {
+    case 'A': case 'a': return 'T';
+    case 'C': case 'c': return 'G';
+    case 'G': case 'g': return 'C';
+    case 'T': case 't': return 'A';
+    default: return 'A';
+  }
+}
+
+TEST(Sequence, TablesMatchSwitchOracleOnEveryByte) {
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    EXPECT_EQ(baseCode(c), switchBaseCode(c)) << "byte " << v;
+    EXPECT_EQ(complement(c), switchComplement(c)) << "byte " << v;
+  }
+  // Still usable in constant expressions.
+  static_assert(baseCode('T') == 3 && baseCode('n') == 0);
+  static_assert(complement('g') == 'C' && complement('N') == 'A');
+}
+
+TEST(Sequence, NonAcgtCodesAsAOnBothStrands) {
+  // N codes as A on the forward strand; reverseComplement turns it into
+  // 'A' as well, so the minus strand codes it as A, not T.
+  EXPECT_EQ(baseCode('N'), baseCode('A'));
+  EXPECT_EQ(reverseComplement("ANC"), "GAT");
+  EXPECT_EQ(baseCode(reverseComplement("N")[0]), 0);
+}
+
 TEST(Sequence, ReversedAndReverseComplement) {
   EXPECT_EQ(reversed("ACGT"), "TGCA");
   EXPECT_EQ(reversed(""), "");

@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "genasmx/bitvector/bitvector.hpp"
@@ -166,22 +171,26 @@ TEST(SimdBatchDistance, MatchesScalarSolveDistanceAcrossWidths) {
     util::Xoshiro256 rng(1000 + max_m);
     std::vector<std::string> store;
     const auto problems = randomProblems(rng, 48, max_m, store);
-    for (const auto level : supportedLevels()) {
-      simd::SimdBatchSolver solver(level);
-      for (const auto anchor :
-           {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+    for (const auto anchor :
+         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+      // Scalar references, computed once for every ISA level below.
+      std::vector<int> want;
+      for (const auto& p : problems) {
+        want.push_back(scalarDistance(p, anchor, false));
+        // The baseline solver's distance kernel agrees too.
+        EXPECT_EQ(scalarDistance(p, anchor, true), want.back());
+      }
+      for (const auto level : supportedLevels()) {
+        simd::SimdBatchSolver solver(level);
         std::vector<int> got(problems.size(), -2);
         solver.solveDistanceBatch(anchor, problems.data(), problems.size(),
                                   got.data());
         for (std::size_t i = 0; i < problems.size(); ++i) {
-          const int want = scalarDistance(problems[i], anchor, false);
-          EXPECT_EQ(got[i], want)
+          EXPECT_EQ(got[i], want[i])
               << simd::isaName(level) << " i=" << i << " max_m=" << max_m
               << " |t|=" << problems[i].text.size()
               << " |q|=" << problems[i].pattern.size()
               << " k=" << problems[i].max_edits;
-          // The baseline solver's distance kernel agrees too.
-          EXPECT_EQ(scalarDistance(problems[i], anchor, true), want);
         }
       }
     }
@@ -192,6 +201,10 @@ TEST(SimdBatchDistance, RaggedBatchSizesAroundTheLaneCount) {
   util::Xoshiro256 rng(77);
   std::vector<std::string> store;
   const auto all = randomProblems(rng, 32, 80, store);
+  std::vector<int> want;
+  for (const auto& p : all) {
+    want.push_back(scalarDistance(p, genasm::Anchor::BothEnds, false));
+  }
   for (const auto level : supportedLevels()) {
     simd::SimdBatchSolver solver(level);
     const std::size_t lanes = static_cast<std::size_t>(solver.lanes());
@@ -200,8 +213,7 @@ TEST(SimdBatchDistance, RaggedBatchSizesAroundTheLaneCount) {
       solver.solveDistanceBatch(genasm::Anchor::BothEnds, all.data(), batch,
                                 got.data());
       for (std::size_t i = 0; i < batch; ++i) {
-        EXPECT_EQ(got[i],
-                  scalarDistance(all[i], genasm::Anchor::BothEnds, false))
+        EXPECT_EQ(got[i], want[i])
             << simd::isaName(level) << " batch=" << batch << " i=" << i;
       }
     }
@@ -240,16 +252,24 @@ TEST(SimdWindowBatch, MatchesScalarSolveForBothSolvers) {
   // Window-march shapes: patterns up to one window, tb limits like the
   // mid-window W-O truncation.
   const auto problems = randomProblems(rng, 64, 64, store);
-  for (const auto level : supportedLevels()) {
-    simd::SimdBatchSolver solver(level);
-    for (const auto anchor :
-         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+  for (const auto anchor :
+       {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+    // Scalar references (improved, baseline), computed once for every
+    // ISA level below.
+    std::vector<genasm::WindowResult> wants[2];
+    for (const bool baseline : {false, true}) {
+      for (const auto& p : problems) {
+        wants[baseline].push_back(scalarSolve(p, anchor, baseline));
+      }
+    }
+    for (const auto level : supportedLevels()) {
+      simd::SimdBatchSolver solver(level);
       std::vector<simd::WindowOutcome> got(problems.size());
       solver.solveWindowBatch(anchor, problems.data(), problems.size(),
                               got.data());
       for (std::size_t i = 0; i < problems.size(); ++i) {
         for (const bool baseline : {false, true}) {
-          const auto want = scalarSolve(problems[i], anchor, baseline);
+          const auto& want = wants[baseline][i];
           EXPECT_EQ(got[i].ok, want.ok)
               << simd::isaName(level) << " i=" << i << " bl=" << baseline;
           if (!want.ok) continue;
@@ -327,18 +347,25 @@ TEST(SimdBatchAlign, MatchesScalarSolveAcrossWidths) {
     util::Xoshiro256 rng(7000 + max_m);
     std::vector<std::string> store;
     const auto problems = randomProblems(rng, 40, max_m, store);
-    for (const auto level : supportedLevels()) {
-      simd::SimdBatchSolver solver(level);
-      for (const auto anchor :
-           {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+    for (const auto anchor :
+         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+      // Scalar references (improved, baseline), computed once for every
+      // ISA level below.
+      std::vector<genasm::WindowResult> wants[2];
+      for (const bool baseline : {false, true}) {
+        for (const auto& p : problems) {
+          wants[baseline].push_back(scalarSolve(p, anchor, baseline));
+        }
+      }
+      for (const auto level : supportedLevels()) {
+        simd::SimdBatchSolver solver(level);
         std::vector<genasm::WindowResult> got(problems.size());
         solver.alignBatch(anchor, problems.data(), problems.size(),
                           got.data());
         for (std::size_t i = 0; i < problems.size(); ++i) {
           for (const bool baseline : {false, true}) {
-            const auto want = scalarSolve(problems[i], anchor, baseline);
             expectSameWindowResult(
-                got[i], want,
+                got[i], wants[baseline][i],
                 std::string(simd::isaName(level)) + " i=" +
                     std::to_string(i) + " max_m=" + std::to_string(max_m) +
                     " bl=" + std::to_string(baseline));
@@ -382,6 +409,10 @@ TEST(SimdBatchAlign, RaggedBatchesAndShapeSortOffAreIdentical) {
   util::Xoshiro256 rng(555);
   std::vector<std::string> store;
   const auto all = randomProblems(rng, 40, 200, store);
+  std::vector<genasm::WindowResult> wants;
+  for (const auto& p : all) {
+    wants.push_back(scalarSolve(p, genasm::Anchor::StartOnly, false));
+  }
   for (const auto level : supportedLevels()) {
     simd::SimdBatchSolver sorted(level);
     simd::SimdBatchSolver unsorted(level);
@@ -401,8 +432,7 @@ TEST(SimdBatchAlign, RaggedBatchesAndShapeSortOffAreIdentical) {
                                 " batch=" + std::to_string(batch) +
                                 " i=" + std::to_string(i);
         expectSameWindowResult(a[i], b[i], ctx + " (sort A/B)");
-        expectSameWindowResult(
-            a[i], scalarSolve(all[i], genasm::Anchor::StartOnly, false), ctx);
+        expectSameWindowResult(a[i], wants[i], ctx);
       }
     }
   }
@@ -448,6 +478,198 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   sorted.resetStats();
   EXPECT_EQ(sorted.stats().groups, 0u);
   EXPECT_EQ(sorted.stats().packed_words, 0u);
+}
+
+TEST(SimdBatchStats, LevelCountersMatchHandComputedValues) {
+  // Eight equal-shape problems with known distances: text is 16 A's,
+  // pattern is (16 - d) A's then d C's, so BothEnds d_min is exactly d
+  // (each C needs its own edit; d substitutions suffice). With hints
+  // off the groups are input-order runs of L lanes and each runs
+  // max(d) + 1 levels; with the true distance as hint they are sorted
+  // descending. Useful lane-levels are sum(d + 1) = 36 either way.
+  const int dists[] = {0, 5, 1, 4, 2, 3, 7, 6};
+  const std::string text(16, 'A');
+  std::vector<std::string> patterns;
+  for (const int d : dists) {
+    patterns.push_back(std::string(16 - d, 'A') + std::string(d, 'C'));
+  }
+  std::vector<simd::WindowProblem> problems;
+  for (const auto& pat : patterns) problems.push_back({text, pat, 16, -1});
+  // lanes -> issued lane-levels, hints off / hints = true distance.
+  const std::map<int, std::pair<std::uint64_t, std::uint64_t>> issued = {
+      {1, {36, 36}},  // one lane per group: nothing idles
+      {2, {2 * (6 + 5 + 4 + 8), 2 * (8 + 6 + 4 + 2)}},
+      {4, {4 * (6 + 8), 4 * (8 + 4)}},
+      {8, {8 * 8, 8 * 8}},  // one group: prepareOrder keeps input order
+  };
+  for (const auto level : supportedLevels()) {
+    for (const bool hinted : {false, true}) {
+      for (std::size_t i = 0; i < problems.size(); ++i) {
+        problems[i].level_hint = hinted ? dists[i] : -1;
+      }
+      simd::SimdBatchSolver solver(level);
+      const auto want = issued.at(solver.lanes());
+      const std::uint64_t want_issued = hinted ? want.second : want.first;
+      const std::string ctx = std::string(simd::isaName(level)) +
+                              " hinted=" + std::to_string(hinted);
+      std::vector<int> got(problems.size(), -2);
+      solver.solveDistanceBatch(genasm::Anchor::BothEnds, problems.data(),
+                                problems.size(), got.data());
+      for (std::size_t i = 0; i < problems.size(); ++i) {
+        EXPECT_EQ(got[i], dists[i]) << ctx << " i=" << i;
+      }
+      EXPECT_EQ(solver.stats().levels_useful, 36u) << ctx;
+      EXPECT_EQ(solver.stats().levels_issued, want_issued) << ctx;
+      // The persisted fill behind alignBatch runs the same levels.
+      solver.resetStats();
+      std::vector<genasm::WindowResult> outs(problems.size());
+      solver.alignBatch(genasm::Anchor::BothEnds, problems.data(),
+                        problems.size(), outs.data());
+      EXPECT_EQ(solver.stats().levels_useful, 36u) << ctx;
+      EXPECT_EQ(solver.stats().levels_issued, want_issued) << ctx;
+    }
+  }
+  // A lane that reaches its cap retires after level k: k + 1 useful
+  // levels, and no result.
+  simd::SimdBatchSolver one(simd::IsaLevel::Scalar);
+  const simd::WindowProblem capped{text, patterns[1], 2, -1};  // d = 5
+  int d = -2;
+  one.solveDistanceBatch(genasm::Anchor::BothEnds, &capped, 1, &d);
+  EXPECT_EQ(d, -1);
+  EXPECT_EQ(one.stats().levels_issued, 3u);
+  EXPECT_EQ(one.stats().levels_useful, 3u);
+}
+
+TEST(SimdLevelHint, AnyHintGivesIdenticalResults) {
+  // level_hint only steers packing. Absent, exact, reversed, shuffled
+  // and absurd hints must all give the hint-free results, bit for bit,
+  // from every entry point at every ISA level.
+  util::Xoshiro256 rng(4711);
+  std::vector<std::string> store;
+  auto problems = randomProblems(rng, 72, 160, store);
+  for (const auto anchor :
+       {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+    std::vector<genasm::WindowResult> wants;
+    std::vector<int> want_dist;
+    int max_d = 0;
+    for (const auto& p : problems) {
+      wants.push_back(scalarSolve(p, anchor, false));
+      want_dist.push_back(scalarDistance(p, anchor, false));
+      max_d = std::max(max_d, want_dist.back());
+    }
+    std::vector<std::vector<int>> hint_sets;
+    hint_sets.emplace_back(problems.size(), -1);
+    hint_sets.push_back(want_dist);
+    std::vector<int> reversed_hints;
+    for (const int d : want_dist) reversed_hints.push_back(max_d - d);
+    hint_sets.push_back(reversed_hints);
+    std::vector<int> shuffled = want_dist;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+    hint_sets.push_back(shuffled);
+    const int absurd[] = {std::numeric_limits<int>::max(),
+                          std::numeric_limits<int>::min(), -1, 0, 1 << 20,
+                          -7};
+    std::vector<int> adversarial;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      adversarial.push_back(absurd[i % std::size(absurd)]);
+    }
+    hint_sets.push_back(adversarial);
+
+    for (const auto level : supportedLevels()) {
+      simd::SimdBatchSolver solver(level);
+      for (std::size_t h = 0; h < hint_sets.size(); ++h) {
+        for (std::size_t i = 0; i < problems.size(); ++i) {
+          problems[i].level_hint = hint_sets[h][i];
+        }
+        std::vector<int> dist(problems.size(), -2);
+        std::vector<simd::WindowOutcome> outcomes(problems.size());
+        std::vector<genasm::WindowResult> aligned(problems.size());
+        solver.solveDistanceBatch(anchor, problems.data(), problems.size(),
+                                  dist.data());
+        solver.solveWindowBatch(anchor, problems.data(), problems.size(),
+                                outcomes.data());
+        solver.alignBatch(anchor, problems.data(), problems.size(),
+                          aligned.data());
+        for (std::size_t i = 0; i < problems.size(); ++i) {
+          const std::string ctx = std::string(simd::isaName(level)) +
+                                  " hints=" + std::to_string(h) +
+                                  " i=" + std::to_string(i);
+          const auto& want = wants[i];
+          EXPECT_EQ(dist[i], want_dist[i]) << ctx;
+          expectSameWindowResult(aligned[i], want, ctx);
+          EXPECT_EQ(outcomes[i].ok, want.ok) << ctx;
+          if (!want.ok) continue;
+          EXPECT_EQ(outcomes[i].distance, want.distance) << ctx;
+          EXPECT_EQ(outcomes[i].edits, want.cigar.editDistance()) << ctx;
+          EXPECT_EQ(outcomes[i].text_consumed, want.cigar.targetLength())
+              << ctx;
+          EXPECT_EQ(outcomes[i].pattern_consumed, want.cigar.queryLength())
+              << ctx;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdLevelHint, MarchHintsNeverLeakIntoResults) {
+  // The batched marches hint each window with the request's previous
+  // window distance. Hint-sorted lanes (shape sort on) and input-order
+  // lanes (sort off, hints unused) must both reproduce the scalar
+  // marches at every ISA level.
+  util::Xoshiro256 rng(1701);
+  for (const int window : {64, 200}) {
+    core::WindowConfig cfg;
+    cfg.window = window;
+    cfg.overlap = window / 3;
+    std::vector<std::string> store;
+    store.reserve(24);
+    std::vector<core::BatchedAlignRequest> areqs;
+    std::vector<core::BatchedDistanceRequest> dreqs;
+    std::vector<common::AlignmentResult> want_aln;
+    std::vector<int> want_dist;
+    for (int i = 0; i < 12; ++i) {
+      const std::size_t qlen = 300 + rng.below(900);
+      store.push_back(common::randomSequence(rng, qlen + rng.below(150)));
+      const std::string& t = store.back();
+      // Error rates from 0 to ~25% spread the window distances.
+      store.push_back(common::mutateSequence(
+          rng, t.substr(0, qlen), rng.below(qlen / 4 + 1)));
+      const std::string& q = store.back();
+      areqs.push_back({t, q});
+      dreqs.push_back({t, q, -1});
+      want_aln.push_back(core::alignWindowedImproved(t, q, cfg));
+      want_dist.push_back(
+          core::distanceWindowedImproved(t, q, cfg, core::ImprovedOptions{},
+                                         -1));
+    }
+    for (const auto level : supportedLevels()) {
+      for (const bool sort : {true, false}) {
+        simd::SimdBatchSolver solver(level);
+        solver.setShapeSort(sort);
+        const std::string ctx = std::string(simd::isaName(level)) +
+                                " window=" + std::to_string(window) +
+                                " sort=" + std::to_string(sort);
+        std::vector<common::AlignmentResult> aln(areqs.size());
+        core::alignWindowedBatch(solver, cfg, areqs.data(), areqs.size(),
+                                 aln.data());
+        std::vector<int> dist(dreqs.size(), -2);
+        core::distanceWindowedBatch(solver, cfg, dreqs.data(), dreqs.size(),
+                                    dist.data());
+        EXPECT_EQ(dist, want_dist) << ctx;
+        for (std::size_t i = 0; i < areqs.size(); ++i) {
+          EXPECT_EQ(aln[i].ok, want_aln[i].ok) << ctx << " i=" << i;
+          EXPECT_EQ(aln[i].edit_distance, want_aln[i].edit_distance)
+              << ctx << " i=" << i;
+          EXPECT_EQ(aln[i].cigar, want_aln[i].cigar) << ctx << " i=" << i;
+        }
+        const simd::BatchStats& st = solver.stats();
+        EXPECT_GT(st.levels_useful, 0u) << ctx;
+        EXPECT_LE(st.levels_useful, st.levels_issued) << ctx;
+      }
+    }
+  }
 }
 
 TEST(SimdWindowedMarch, AlignBatchedMatchesScalarAlignWindowed) {
