@@ -27,7 +27,7 @@ void MapClient::close() noexcept {
     ::close(fd_);
     fd_ = -1;
   }
-  inbuf_.clear();
+  reader_ = FrameReader{};
 }
 
 Status MapClient::connectUnix(const std::string& path) {
@@ -86,79 +86,52 @@ Status MapClient::sendRaw(std::string_view bytes) {
 void MapClient::abortMidFrame(std::string_view id,
                               std::uint64_t promised_bytes,
                               std::string_view sent) {
-  RequestHeader h;
-  h.kind = RequestKind::kMap;
-  h.id = std::string(id);
-  h.bytes = promised_bytes;
-  (void)sendRaw(formatRequestHeader(h));
+  (void)sendRaw(formatRequestHeader({.kind = RequestKind::kMap,
+                                     .id = std::string(id),
+                                     .bytes = promised_bytes}));
   (void)sendRaw(sent);
   close();
 }
 
-Status MapClient::readLine(std::string& line) {
+Status MapClient::readFrame(std::string& out) {
   for (;;) {
-    const std::size_t nl = inbuf_.find('\n');
-    if (nl != std::string::npos) {
-      line.assign(inbuf_, 0, nl);
-      inbuf_.erase(0, nl + 1);
-      return Status();
-    }
+    const FrameReader::Next got = reader_.next(out);
+    if (got == FrameReader::Next::kFrame) return Status();
+    if (got == FrameReader::Next::kTooLarge) return headerLineTooLong();
     char buf[65536];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n == 0) {
-      return Status(ErrorCode::kIoFatal, "server closed the connection");
+      return Status(ErrorCode::kIoFatal,
+                    reader_.midFrame() ? "server closed mid-frame"
+                                       : "server closed the connection");
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       return errnoStatus(ErrorCode::kIoFatal, "recv");
     }
-    inbuf_.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-Status MapClient::readExact(std::size_t want, std::string& out) {
-  out.clear();
-  for (;;) {
-    const std::size_t take = std::min(want - out.size(), inbuf_.size());
-    out.append(inbuf_, 0, take);
-    inbuf_.erase(0, take);
-    if (out.size() >= want) return Status();
-    char buf[65536];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) {
-      return Status(ErrorCode::kIoFatal, "server closed mid-body");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errnoStatus(ErrorCode::kIoFatal, "recv");
-    }
-    inbuf_.append(buf, static_cast<std::size_t>(n));
+    reader_.append({buf, static_cast<std::size_t>(n)});
   }
 }
 
 Status MapClient::readReply(ResponseHeader& reply, std::string& body) {
   std::string line;
-  Status st = readLine(line);
+  Status st = readFrame(line);
   if (!st.ok()) return st;
   st = parseResponseHeader(line, reply);
   if (!st.ok()) return st;
   body.clear();
-  if (reply.ok && reply.bytes > 0) {
-    st = readExact(static_cast<std::size_t>(reply.bytes), body);
-    if (!st.ok()) return st;
-  }
-  return Status();
+  if (!reply.ok || reply.bytes == 0) return Status();
+  reader_.expectPayload(reply.bytes);
+  return readFrame(body);
 }
 
 Status MapClient::map(std::string_view id, std::string_view fastq,
                       std::uint64_t deadline_ms, ResponseHeader& reply,
                       std::string& body) {
-  RequestHeader h;
-  h.kind = RequestKind::kMap;
-  h.id = std::string(id);
-  h.bytes = fastq.size();
-  h.deadline_ms = deadline_ms;
-  Status st = sendRaw(formatRequestHeader(h));
+  Status st = sendRaw(formatRequestHeader({.kind = RequestKind::kMap,
+                                           .id = std::string(id),
+                                           .bytes = fastq.size(),
+                                           .deadline_ms = deadline_ms}));
   if (!st.ok()) return st;
   st = sendRaw(fastq);
   if (!st.ok()) {

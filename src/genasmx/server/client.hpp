@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "genasmx/common/error.hpp"
 #include "genasmx/server/protocol.hpp"
@@ -19,12 +20,15 @@ class MapClient {
  public:
   MapClient() = default;
   ~MapClient() { close(); }
-  MapClient(MapClient&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  // A move takes the buffered reply bytes along with the connection.
+  MapClient(MapClient&& other) noexcept
+      : fd_(std::exchange(other.fd_, -1)),
+        reader_(std::exchange(other.reader_, {})) {}
   MapClient& operator=(MapClient&& other) noexcept {
     if (this != &other) {
       close();
-      fd_ = other.fd_;
-      other.fd_ = -1;
+      fd_ = std::exchange(other.fd_, -1);
+      reader_ = std::exchange(other.reader_, {});
     }
     return *this;
   }
@@ -71,11 +75,11 @@ class MapClient {
                                          std::string& body);
 
  private:
-  [[nodiscard]] common::Status readLine(std::string& line);
-  [[nodiscard]] common::Status readExact(std::size_t n, std::string& out);
+  /// Receive until reader_ yields its next frame into `out`.
+  [[nodiscard]] common::Status readFrame(std::string& out);
 
   int fd_ = -1;
-  std::string inbuf_;
+  FrameReader reader_;
 };
 
 }  // namespace gx::server

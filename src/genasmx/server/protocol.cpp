@@ -1,5 +1,7 @@
 #include "genasmx/server/protocol.hpp"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace gx::server {
@@ -59,6 +61,35 @@ ErrorCode codeFromName(std::string_view name) {
 }
 
 }  // namespace
+
+Status headerLineTooLong() {
+  return malformed("header line longer than " +
+                   std::to_string(kMaxHeaderLine - 1) + " bytes");
+}
+
+FrameReader::Next FrameReader::next(std::string& out) {
+  if (want_) {
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(*want_ - payload_.size(), buf_.size()));
+    payload_.append(buf_, 0, take);
+    buf_.erase(0, take);
+    if (payload_.size() < *want_) return Next::kNeedMore;
+    out = std::exchange(payload_, {});
+    want_.reset();
+    return Next::kFrame;
+  }
+  const std::size_t limit = std::min(buf_.size(), kMaxHeaderLine);
+  const std::size_t nl =
+      std::string_view(buf_).substr(0, limit).find('\n', scanned_);
+  if (nl == std::string_view::npos) {
+    scanned_ = limit;
+    return limit == kMaxHeaderLine ? Next::kTooLarge : Next::kNeedMore;
+  }
+  out.assign(buf_, 0, nl);
+  buf_.erase(0, nl + 1);
+  scanned_ = 0;
+  return Next::kFrame;
+}
 
 bool validRequestId(std::string_view id) noexcept {
   if (id.empty() || id.size() > 128) return false;
@@ -204,7 +235,10 @@ std::string formatErrHeader(std::string_view id, common::ErrorCode code,
   line += " reason=";
   line += reason;
   line += " msg=";
-  // The message must not break the line-oriented framing.
+  // The message must not break the framing: CR/LF become spaces, and it
+  // is cut so the line, '\n' included, fits kMaxHeaderLine.
+  msg = msg.substr(
+      0, kMaxHeaderLine - std::min(kMaxHeaderLine, line.size() + 1));
   for (const char c : msg) line += (c == '\n' || c == '\r') ? ' ' : c;
   line += '\n';
   return line;

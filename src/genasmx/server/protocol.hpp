@@ -32,14 +32,65 @@
 // Reasons: queue-full, deadline, too-large, bad-header, torn-frame,
 // internal. A request id is an opaque token (no whitespace); the server
 // echoes it verbatim so clients can pipeline requests per connection.
+//
+// Header lines are capped in both directions: a line, '\n' included, is
+// at most kMaxHeaderLine bytes. A request line that reaches the cap
+// without its '\n' gets the same ERR bad-header reply as any other bad
+// header, however its bytes were split across reads, and the connection
+// ends. formatErrHeader cuts msg so the ERR line fits the cap (ids and
+// reasons the server writes are always short enough).
+//
+// FrameReader splits a byte stream into these frames for both ends:
+// MapServer feeds it request bytes, MapClient reply bytes.
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "genasmx/common/error.hpp"
 
 namespace gx::server {
+
+/// Longest header line, '\n' included, either side may send.
+inline constexpr std::size_t kMaxHeaderLine = 4096;
+
+/// The kMalformedInput status for a header line over kMaxHeaderLine.
+[[nodiscard]] common::Status headerLineTooLong();
+
+/// Splits a received byte stream into header lines and byte-counted
+/// payloads. It owns no socket: callers append what they receive and ask
+/// for the next frame until it stops needing bytes. A payload is built
+/// up in place and moved out whole, so it is never held twice.
+class FrameReader {
+ public:
+  enum class Next : std::uint8_t {
+    kFrame,     ///< `out` holds the next line (no '\n') or the payload
+    kNeedMore,  ///< append more bytes and ask again
+    kTooLarge,  ///< the pending line reached kMaxHeaderLine without '\n'
+  };
+
+  void append(std::string_view bytes) { buf_.append(bytes); }
+
+  /// The next frame is an `n`-byte payload (its header announced it).
+  void expectPayload(std::uint64_t n) { want_ = n; }
+
+  /// The next header line, or the expected payload.
+  [[nodiscard]] Next next(std::string& out);
+
+  /// True iff part of a frame is held or a payload is still due: EOF
+  /// here tears a frame.
+  [[nodiscard]] bool midFrame() const noexcept {
+    return want_.has_value() || !buf_.empty();
+  }
+
+ private:
+  std::string buf_;                    ///< received, not yet handed out
+  std::string payload_;                ///< the expected payload so far
+  std::optional<std::uint64_t> want_;  ///< its size, while one is due
+  std::size_t scanned_ = 0;            ///< prefix of buf_ with no '\n'
+};
 
 enum class RequestKind : std::uint8_t { kMap, kStats, kPing };
 

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "genasmx/io/fault.hpp"
-#include "genasmx/server/protocol.hpp"
 #include "genasmx/util/thread_pool.hpp"
 
 namespace gx::server {
@@ -23,8 +22,6 @@ namespace {
 
 using common::Error;
 using common::ErrorCode;
-
-constexpr std::size_t kMaxHeaderBytes = 4096;
 
 [[noreturn]] void sysFail(const std::string& what) {
   throw Error(ErrorCode::kIoFatal,
@@ -231,10 +228,14 @@ void MapServer::serve() {
 
 // ---------------------------------------------------------------- reads
 
-MapServer::ReadStatus MapServer::fill(
-    Connection& conn, std::string& inbuf, bool mid_frame,
-    std::chrono::steady_clock::time_point& frame_start) {
+MapServer::ReadStatus MapServer::readFrame(Connection& conn,
+                                           FrameReader& reader,
+                                           std::string& out) {
+  auto frame_start = noDeadline();
   for (;;) {
+    const FrameReader::Next got = reader.next(out);
+    if (got == FrameReader::Next::kFrame) return ReadStatus::kOk;
+    if (got == FrameReader::Next::kTooLarge) return ReadStatus::kTooLarge;
     if (conn.dead.load(std::memory_order_acquire)) return ReadStatus::kClosed;
     pollfd p{conn.fd, POLLIN, 0};
     const int rc = ::poll(&p, 1, cfg_.poll_interval_ms);
@@ -244,7 +245,7 @@ MapServer::ReadStatus MapServer::fill(
     }
     if (rc == 0) {
       if (draining()) {
-        if (!mid_frame && inbuf.empty()) return ReadStatus::kDrain;
+        if (!reader.midFrame()) return ReadStatus::kDrain;
         // Mid-frame during drain: give the client one write-timeout's
         // worth of grace to finish the frame, then cut it loose — a
         // stalled sender must not hold drain hostage.
@@ -264,43 +265,7 @@ MapServer::ReadStatus MapServer::fill(
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return ReadStatus::kClosed;
     }
-    inbuf.append(buf, static_cast<std::size_t>(n));
-    return ReadStatus::kOk;
-  }
-}
-
-MapServer::ReadStatus MapServer::readLine(Connection& conn, std::string& inbuf,
-                                          std::string& line) {
-  auto frame_start = noDeadline();
-  for (;;) {
-    const std::size_t nl = inbuf.find('\n');
-    if (nl != std::string::npos) {
-      line.assign(inbuf, 0, nl);
-      inbuf.erase(0, nl + 1);
-      return ReadStatus::kOk;
-    }
-    if (inbuf.size() > kMaxHeaderBytes) return ReadStatus::kClosed;
-    const ReadStatus rs = fill(conn, inbuf, !inbuf.empty(), frame_start);
-    if (rs != ReadStatus::kOk) return rs;
-  }
-}
-
-MapServer::ReadStatus MapServer::readPayload(Connection& conn,
-                                             std::string& inbuf,
-                                             std::uint64_t want,
-                                             std::string& payload) {
-  auto frame_start = noDeadline();
-  payload.clear();
-  for (;;) {
-    if (!inbuf.empty()) {
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(want - payload.size(), inbuf.size()));
-      payload.append(inbuf, 0, take);
-      inbuf.erase(0, take);
-    }
-    if (payload.size() >= want) return ReadStatus::kOk;
-    const ReadStatus rs = fill(conn, inbuf, true, frame_start);
-    if (rs != ReadStatus::kOk) return rs;
+    reader.append({buf, static_cast<std::size_t>(n)});
   }
 }
 
@@ -361,15 +326,15 @@ bool MapServer::writeReply(Connection& conn, std::string_view header,
 // ---------------------------------------------------------------- reader
 
 void MapServer::readerLoop(ConnPtr conn) {
-  std::string inbuf;
+  FrameReader reader;
   std::string line;
   for (;;) {
-    const ReadStatus rs = readLine(*conn, inbuf, line);
-    if (rs != ReadStatus::kOk) {
-      // EOF between frames is a clean disconnect; anything torn
-      // mid-frame was already counted where it happened.
+    const ReadStatus rs = readFrame(*conn, reader, line);
+    if (rs != ReadStatus::kOk && rs != ReadStatus::kTooLarge) {
+      // EOF between frames is a clean disconnect; EOF or a drain
+      // timeout inside a header line tears that frame.
       if ((rs == ReadStatus::kEof || rs == ReadStatus::kTimeout) &&
-          !inbuf.empty()) {
+          reader.midFrame()) {
         std::lock_guard lock(stats_mu_);
         ++stats_.torn_frames;
       }
@@ -377,7 +342,9 @@ void MapServer::readerLoop(ConnPtr conn) {
     }
 
     RequestHeader hdr;
-    const common::Status st = parseRequestHeader(line, hdr);
+    const common::Status st = rs == ReadStatus::kTooLarge
+                                  ? headerLineTooLong()
+                                  : parseRequestHeader(line, hdr);
     if (!st.ok()) {
       // A client that cannot frame a header cannot be resynchronized in
       // a byte-counted protocol: answer once, then drop only it.
@@ -432,11 +399,10 @@ void MapServer::readerLoop(ConnPtr conn) {
       break;
     }
 
-    const std::uint64_t want =
-        conn->torn ? hdr.bytes / 2 : hdr.bytes;  // torn@conn:N — see below
+    // torn@conn:N reads half the payload — see below.
+    reader.expectPayload(conn->torn ? hdr.bytes / 2 : hdr.bytes);
     std::string payload;
-    const ReadStatus prs = readPayload(*conn, inbuf, want, payload);
-    if (prs != ReadStatus::kOk) {
+    if (readFrame(*conn, reader, payload) != ReadStatus::kOk) {
       // The client disconnected (or stalled past drain grace) inside its
       // own frame: a torn frame. Nothing can be replied to a gone peer;
       // the request is simply never admitted.

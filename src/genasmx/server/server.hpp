@@ -25,8 +25,12 @@
 //     pipeline stage boundaries (the group's latest deadline), and
 //     before the reply is written; expiry is a retryable ERR, never a
 //     wedged client.
-//   - Per-connection isolation: a malformed header, torn frame, abrupt
-//     disconnect, or stalled reader kills at most its own connection.
+//   - One frame reader: requests are framed by the same FrameReader
+//     (protocol.hpp) that MapClient uses for replies, so the header cap
+//     and torn-frame rules are one piece of fuzzed code.
+//   - Per-connection isolation: a malformed or over-long header, torn
+//     frame, abrupt disconnect, or stalled reader kills at most its own
+//     connection.
 //   - Slow-client write timeouts: a reply blocked longer than
 //     write_timeout_ms sheds that connection instead of wedging a
 //     mapping session.
@@ -51,6 +55,7 @@
 #include "genasmx/mapper/mapper.hpp"
 #include "genasmx/pipeline/pipeline.hpp"
 #include "genasmx/server/histogram.hpp"
+#include "genasmx/server/protocol.hpp"
 #include "genasmx/server/session.hpp"
 
 namespace gx::server {
@@ -156,7 +161,7 @@ class MapServer {
     bool has_deadline = false;
   };
 
-  enum class ReadStatus { kOk, kEof, kClosed, kDrain, kTimeout };
+  enum class ReadStatus { kOk, kTooLarge, kEof, kClosed, kDrain, kTimeout };
 
   void acceptOne(int listen_fd);
   /// Join the readers that have finished; accept loop only.
@@ -165,11 +170,9 @@ class MapServer {
   void sessionLoop();
   void processGroup(MapSession& session, std::vector<Request>& group);
 
-  ReadStatus fill(Connection& conn, std::string& inbuf, bool mid_frame,
-                  std::chrono::steady_clock::time_point& frame_start);
-  ReadStatus readLine(Connection& conn, std::string& inbuf, std::string& line);
-  ReadStatus readPayload(Connection& conn, std::string& inbuf,
-                         std::uint64_t want, std::string& payload);
+  /// Poll and recv until `reader` yields its next frame into `out`.
+  ReadStatus readFrame(Connection& conn, FrameReader& reader,
+                       std::string& out);
   /// Write header+body under the connection's write mutex with the
   /// slow-client timeout. Returns false if the connection was shed.
   bool writeReply(Connection& conn, std::string_view header,

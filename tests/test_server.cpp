@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -257,6 +260,104 @@ TEST(Protocol, ErrHeaderRoundTripAndNewlineSanitized) {
   EXPECT_TRUE(back.retry);
   EXPECT_EQ(back.reason, "queue-full");
   EXPECT_EQ(back.msg, "try later");
+
+  // A message that would push the line past the cap (say, a record name
+  // megabytes long) is cut so the whole line, '\n' included, fits.
+  const std::string long_msg = "bad record '" + std::string(10'000, 'n') +
+                               "'\r\n" + std::string(10'000, 'x');
+  const std::string capped = formatErrHeader(
+      "r3", ErrorCode::kMalformedInput, false, "bad-payload", long_msg);
+  EXPECT_EQ(capped.size(), kMaxHeaderLine);
+  EXPECT_EQ(capped.find('\n'), capped.size() - 1);
+  const std::string prefix =
+      formatErrHeader("r3", ErrorCode::kMalformedInput, false, "bad-payload",
+                      "");
+  ASSERT_TRUE(parseResponseHeader(
+                  std::string_view(capped).substr(0, capped.size() - 1), back)
+                  .ok());
+  EXPECT_EQ(back.msg, long_msg.substr(0, kMaxHeaderLine - prefix.size()));
+  EXPECT_EQ(back.reason, "bad-payload");
+}
+
+/// Feeds `stream` to a FrameReader in `chunk`-byte pieces and reads it
+/// the way the server does: a line, then the payload a MAP line
+/// announces. Returns "L:<line>" / "P:<payload>" events and the state it
+/// stopped in.
+std::vector<std::string> frameEvents(std::string_view stream,
+                                     std::size_t chunk) {
+  FrameReader reader;
+  std::vector<std::string> events;
+  std::string out;
+  bool payload = false;
+  for (std::size_t fed = 0;;) {
+    const FrameReader::Next got = reader.next(out);
+    if (got == FrameReader::Next::kTooLarge) {
+      events.emplace_back("too-large");
+      break;
+    }
+    if (got == FrameReader::Next::kNeedMore) {
+      if (fed == stream.size()) {
+        events.emplace_back(reader.midFrame() ? "torn" : "clean");
+        break;
+      }
+      reader.append(stream.substr(fed, chunk));
+      fed = std::min(stream.size(), fed + chunk);
+      continue;
+    }
+    events.push_back((payload ? "P:" : "L:") + out);
+    RequestHeader h;
+    if (!payload && parseRequestHeader(out, h).ok() &&
+        h.kind == RequestKind::kMap) {
+      reader.expectPayload(h.bytes);
+      payload = true;
+    } else {
+      payload = false;
+    }
+  }
+  return events;
+}
+
+TEST(Protocol, FrameReaderSplitsPipelinedFramesAnySegmentation) {
+  const std::string stream =
+      "PING\nMAP id=a bytes=5\n@r\nA\nSTATS\nMAP id=b bytes=0\nPING\n";
+  const std::vector<std::string> want = {
+      "L:PING",  "L:MAP id=a bytes=5", "P:@r\nA\n", "L:STATS",
+      "L:MAP id=b bytes=0", "P:", "L:PING", "clean"};
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{7}, stream.size()}) {
+    EXPECT_EQ(frameEvents(stream, chunk), want) << "chunk " << chunk;
+  }
+  // EOF inside a header line or a payload tears the frame.
+  EXPECT_EQ(frameEvents("PING\nPI", 3).back(), "torn");
+  EXPECT_EQ(frameEvents("MAP id=a bytes=5\n@r", 1),
+            (std::vector<std::string>{"L:MAP id=a bytes=5", "torn"}));
+}
+
+TEST(Protocol, FrameReaderCapsTheLineWhateverTheSplit) {
+  // kMaxHeaderLine - 1 bytes plus '\n' is the longest line.
+  const std::string fits(kMaxHeaderLine - 1, 'x');
+  const std::string over(kMaxHeaderLine, 'x');
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{1000},
+                                  kMaxHeaderLine - 1, kMaxHeaderLine,
+                                  std::size_t{100'000}}) {
+    EXPECT_EQ(frameEvents(fits + "\nPING\n", chunk),
+              (std::vector<std::string>{"L:" + fits, "L:PING", "clean"}))
+        << "chunk " << chunk;
+    EXPECT_EQ(frameEvents(over + "\nPING\n", chunk),
+              (std::vector<std::string>{"too-large"}))
+        << "chunk " << chunk;
+    EXPECT_EQ(frameEvents(over, chunk),
+              (std::vector<std::string>{"too-large"}))
+        << "chunk " << chunk;
+  }
+  // A payload is not a line: it may be any size and hold any byte.
+  const std::string big(3 * kMaxHeaderLine, '\0');
+  EXPECT_EQ(frameEvents("MAP id=z bytes=" + std::to_string(big.size()) +
+                            "\n" + big + "PING\n",
+                        4096),
+            (std::vector<std::string>{
+                "L:MAP id=z bytes=" + std::to_string(big.size()), "P:" + big,
+                "L:PING", "clean"}));
 }
 
 // ---------------------------------------------------------- histogram
@@ -791,6 +892,43 @@ TEST(MapServerTest, StartRejectsOutOfRangePortAndWriteTimeout) {
   }
 }
 
+TEST(MapClientTest, MoveKeepsBufferedReplies) {
+  ServerHandle srv(ServerConfig{});
+  MapClient first = srv.client();
+  ASSERT_TRUE(first.sendRaw("PING\nPING\nPING\n").ok());
+  // Wait until all three replies are queued, so the first read buffers
+  // the other two.
+  for (int i = 0; i < 10'000; ++i) {
+    char buf[4096];
+    const ssize_t n =
+        ::recv(first.fd(), buf, sizeof(buf), MSG_PEEK | MSG_DONTWAIT);
+    if (n > 0 && std::count(buf, buf + n, '\n') == 3) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A lost buffer would block the next read: time it out instead.
+  const timeval timeout{2, 0};
+  ASSERT_EQ(::setsockopt(first.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ResponseHeader reply;
+  std::string body;
+  ASSERT_TRUE(first.readReply(reply, body).ok());
+  EXPECT_EQ(reply.id, "ping");
+
+  MapClient second(std::move(first));
+  const auto st = second.readReply(reply, body);
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(reply.id, "ping");
+
+  MapClient third;
+  third = std::move(second);
+  const auto st3 = third.readReply(reply, body);
+  ASSERT_TRUE(st3.ok()) << st3.message();
+  EXPECT_EQ(reply.id, "ping");
+  EXPECT_TRUE(third.ping().ok());
+  srv.stop();
+}
+
 TEST(MapClientTest, ConnectTcpRejectsOutOfRangePort) {
   for (const int port : {-1, 65536, 70000}) {
     MapClient client;
@@ -803,25 +941,42 @@ TEST(MapClientTest, ConnectTcpRejectsOutOfRangePort) {
 // --------------------------------------------------- server: isolation
 
 TEST(MapServerTest, MalformedHeaderKillsOnlyItsConnection) {
-  ServerHandle srv(ServerConfig{});
-  MapClient bad = srv.client();
-  ASSERT_TRUE(bad.sendRaw("BOGUS gibberish\n").ok());
-  ResponseHeader reply;
-  std::string body;
-  ASSERT_TRUE(bad.readReply(reply, body).ok());
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.reason, "bad-header");
-  EXPECT_FALSE(reply.retry);
-  EXPECT_EQ(reply.code, ErrorCode::kMalformedInput);
+  // Each input is a list of writes, sent with a pause between them so
+  // the server reads them apart. An over-long line gets the same reply
+  // whether it arrives whole or split after the cap.
+  const std::string over_long = "MAP id=x " + std::string(5000, 'y') + "\n";
+  const std::vector<std::vector<std::string>> inputs = {
+      {"BOGUS gibberish\n"},
+      {over_long},
+      {over_long.substr(0, 4500), over_long.substr(4500)},
+  };
+  for (const auto& writes : inputs) {
+    SCOPED_TRACE(writes.size() == 1 ? writes[0].substr(0, 20) : "split");
+    ServerHandle srv(ServerConfig{});
+    MapClient bad = srv.client();
+    ASSERT_TRUE(bad.sendRaw(writes[0]).ok());
+    for (std::size_t w = 1; w < writes.size(); ++w) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      // The server may already have answered and closed.
+      (void)bad.sendRaw(writes[w]);
+    }
+    ResponseHeader reply;
+    std::string body;
+    ASSERT_TRUE(bad.readReply(reply, body).ok());
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.reason, "bad-header");
+    EXPECT_FALSE(reply.retry);
+    EXPECT_EQ(reply.code, ErrorCode::kMalformedInput);
 
-  MapClient good = srv.client();
-  const auto st = good.map("after", toFastq(slice(0, 2)), 0, reply, body);
-  ASSERT_TRUE(st.ok()) << st.message();
-  EXPECT_TRUE(reply.ok);
-  EXPECT_EQ(body, expectedPaf(slice(0, 2)));
+    MapClient good = srv.client();
+    const auto st = good.map("after", toFastq(slice(0, 2)), 0, reply, body);
+    ASSERT_TRUE(st.ok()) << st.message();
+    EXPECT_TRUE(reply.ok);
+    EXPECT_EQ(body, expectedPaf(slice(0, 2)));
 
-  const ServerStats stats = srv.stop();
-  EXPECT_EQ(stats.malformed, 1u);
+    const ServerStats stats = srv.stop();
+    EXPECT_EQ(stats.malformed, 1u);
+  }
 }
 
 TEST(MapServerTest, TornFrameDisconnectLeavesServerServing) {
