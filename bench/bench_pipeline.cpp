@@ -17,9 +17,15 @@
 //   * MappingPipeline reads/sec for the secondary-emitting full flow and
 //     the primary-only two-phase distance-first flow (with and without
 //     the sketch prefilter), plus the two-phase speedup,
+//   * seeding stage by stage (seed_kernel): minimizer extraction, index
+//     lookup, chaining and the whole Mapper::map scratch path over short
+//     reads, with heap allocations per read once the SeedScratch is warm,
 //   * peak RSS.
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 
@@ -29,12 +35,28 @@
 #include "genasmx/io/paf.hpp"
 #include "genasmx/mapper/index.hpp"
 #include "genasmx/mapper/index_io.hpp"
+#include "genasmx/mapper/mapper.hpp"
 #include "genasmx/pipeline/pipeline.hpp"
 #include "genasmx/refmodel/reference.hpp"
 #include "genasmx/simd/batch_solver.hpp"
 #include "genasmx/util/stats.hpp"
 #include "genasmx/util/thread_pool.hpp"
 #include "genasmx/util/timer.hpp"
+
+/// Heap allocations made through operator new in this process, for the
+/// seed kernel's allocs_per_read (the replacements below count them).
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -133,6 +155,103 @@ FlowTiming timeFlow(const std::string& genome,
   ft.prefilter_steady_grow_events =
       pf.scratch_grow_events - warm_pf.scratch_grow_events;
   return ft;
+}
+
+struct SeedKernel {
+  std::size_t reads = 0;
+  std::size_t index_entries = 0;
+  std::uint64_t minimizers = 0;  ///< per pass, over all reads
+  std::uint64_t anchors = 0;     ///< index hits, one anchor each
+  std::uint64_t candidates = 0;
+  util::Summary extract, lookup, chain, map;  ///< seconds per pass
+  std::uint64_t steady_allocs = 0;            ///< one warm map pass
+};
+
+/// Seeding stage by stage, over short reads against a multi-megabase
+/// index whose key array outgrows the caches as a real reference's
+/// does: minimizer extraction, lookup plus the per-strand anchor split,
+/// chaining, then the whole Mapper::map scratch path. Each stage is timed
+/// over kKernelPasses passes; the heap allocations of one more map pass,
+/// with the scratch and output vectors warm, give allocs_per_read.
+SeedKernel timeSeedKernel() {
+  refmodel::Reference ref;
+  readsim::GenomeConfig gcfg;
+  gcfg.length = 1'000'000;
+  for (std::uint64_t c = 0; c < 4; ++c) {
+    gcfg.seed = 501 + c;
+    ref.addContig("seed_ctg_" + std::to_string(c),
+                  readsim::generateGenome(gcfg));
+  }
+  auto rcfg = readsim::ReadSimConfig::illumina(4'000, 150);
+  rcfg.seed = 509;
+  const auto reads = readsim::simulateReads(ref, rcfg);
+  const mapper::Mapper mapper(std::move(ref));
+  const mapper::IndexView& view = mapper.index();
+  const refmodel::Reference& mref = mapper.reference();
+  const std::size_t n = reads.size();
+  const auto k = static_cast<std::uint32_t>(view.k());
+
+  SeedKernel sk;
+  sk.reads = n;
+  sk.index_entries = view.size();
+  mapper::SeedScratch scratch;
+  std::vector<std::vector<mapper::Minimizer>> mins(n);
+  std::vector<std::vector<mapper::Anchor>> fwd(n), rev(n);
+  sk.extract = timePasses([&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      mapper::extractMinimizers(reads[i].seq, view.k(), view.w(), 0, mins[i],
+                                scratch.ring);
+    }
+  });
+  sk.lookup = timePasses([&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      fwd[i].clear();
+      rev[i].clear();
+      const auto rl = static_cast<std::uint32_t>(reads[i].seq.size());
+      for (const mapper::Minimizer& mz : mins[i]) {
+        for (const mapper::IndexHit hit : view.lookup(mz.key)) {
+          const std::uint32_t contig = mref.contigOf(hit.pos);
+          if (hit.reverse == mz.reverse) {
+            fwd[i].push_back(mapper::Anchor{mz.pos, hit.pos, contig});
+          } else {
+            rev[i].push_back(mapper::Anchor{rl - mz.pos - k, hit.pos, contig});
+          }
+        }
+      }
+    }
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    sk.minimizers += mins[i].size();
+    sk.anchors += fwd[i].size() + rev[i].size();
+  }
+  const mapper::ChainParams& params = mapper.config().chain;
+  sk.chain = timePasses([&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch.fwd = fwd[i];  // chaining sorts its input in place
+      scratch.rev = rev[i];
+      mapper::chainAnchors(scratch.fwd, params, scratch.chain,
+                           scratch.fwd_chains);
+      mapper::chainAnchors(scratch.rev, params, scratch.chain,
+                           scratch.rev_chains);
+    }
+  });
+  std::vector<mapper::Minimizer> read_mins;
+  std::vector<mapper::Candidate> cands;
+  const auto map_pass = [&] {
+    std::uint64_t candidates = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      mapper.map(reads[i].seq, scratch, read_mins, cands);
+      candidates += cands.size();
+    }
+    return candidates;
+  };
+  sk.map = timePasses(map_pass);
+  const std::uint64_t allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  sk.candidates = map_pass();
+  sk.steady_allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  return sk;
 }
 
 int runTracked(bench::WorkloadConfig cfg) {
@@ -450,6 +569,31 @@ int runTracked(bench::WorkloadConfig cfg) {
               index_file_bytes, index_write_seconds, index_load_seconds,
               index_serial_seconds, index_load_speedup);
 
+  // --- seeding kernel.
+  const SeedKernel sk = timeSeedKernel();
+  const double reads_d = static_cast<double>(sk.reads);
+  const double seed_minimizers_per_sec =
+      perSec(sk.minimizers, sk.extract.median());
+  const double seed_lookups_per_sec = perSec(sk.minimizers, sk.lookup.median());
+  const double seed_anchors_per_sec = perSec(sk.anchors, sk.lookup.median());
+  const double seed_chain_us = 1e6 * sk.chain.median() / reads_d;
+  const double seed_map_us = 1e6 * sk.map.median() / reads_d;
+  const double seed_allocs_per_read =
+      static_cast<double>(sk.steady_allocs) / reads_d;
+  std::printf("seed kernel (%zu x 150 bp reads, %zu index entries, median of "
+              "%d passes): %.2fM minimizers/s (IQR %.1f%%), %.2fM lookups/s "
+              "(IQR %.1f%%), %.2fM anchors/s, chain %.3f us/read (IQR "
+              "%.1f%%), map %.3f us/read (IQR %.1f%%), steady allocs/read "
+              "%.3f\n",
+              sk.reads, sk.index_entries, kKernelPasses,
+              seed_minimizers_per_sec / 1e6,
+              100.0 * iqr(sk.extract) / sk.extract.median(),
+              seed_lookups_per_sec / 1e6,
+              100.0 * iqr(sk.lookup) / sk.lookup.median(),
+              seed_anchors_per_sec / 1e6, seed_chain_us,
+              100.0 * iqr(sk.chain) / sk.chain.median(), seed_map_us,
+              100.0 * iqr(sk.map) / sk.map.median(), seed_allocs_per_read);
+
   // --- pipeline flows.
   const FlowTiming full = timeFlow(w.genome, reads, true);
   const FlowTiming two = timeFlow(w.genome, reads, false);
@@ -587,6 +731,28 @@ int runTracked(bench::WorkloadConfig cfg) {
              windows > 0
                  ? static_cast<double>(march_steady_allocs) / windows
                  : 0.0);
+    bench::JsonObject seed_kernel;
+    seed_kernel.num("reads", static_cast<std::uint64_t>(sk.reads))
+        .num("read_length_bp", 150)
+        .num("index_entries", static_cast<std::uint64_t>(sk.index_entries))
+        .num("passes", kKernelPasses)
+        .num("minimizers", sk.minimizers)
+        .num("anchors", sk.anchors)
+        .num("candidates", sk.candidates)
+        .num("extract_seconds", sk.extract.median())
+        .num("extract_seconds_iqr", iqr(sk.extract))
+        .num("lookup_seconds", sk.lookup.median())
+        .num("lookup_seconds_iqr", iqr(sk.lookup))
+        .num("chain_seconds", sk.chain.median())
+        .num("chain_seconds_iqr", iqr(sk.chain))
+        .num("map_seconds", sk.map.median())
+        .num("map_seconds_iqr", iqr(sk.map))
+        .num("minimizers_per_sec", seed_minimizers_per_sec)
+        .num("lookups_per_sec", seed_lookups_per_sec)
+        .num("anchors_per_sec", seed_anchors_per_sec)
+        .num("chain_us_per_read", seed_chain_us)
+        .num("map_us_per_read", seed_map_us)
+        .num("allocs_per_read", seed_allocs_per_read);
     bench::JsonObject stage_breakdown;
     stage_breakdown.num("index_build_seconds", two.stages.index_build_s)
         .num("seed_chain_seconds", two.stages.seed_chain_s)
@@ -626,6 +792,7 @@ int runTracked(bench::WorkloadConfig cfg) {
         .obj("index_build", index_build)
         .obj("index_build_single_contig", index_build_single_contig)
         .obj("index_load", index_load)
+        .obj("seed_kernel", seed_kernel)
         .obj("pipeline_full", flow(full))
         .obj("pipeline_primary_two_phase", flow(two))
         .obj("pipeline_primary_two_phase_prefilter", flow(two_prefilter))

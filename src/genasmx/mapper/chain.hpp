@@ -31,11 +31,25 @@ struct Chain {
   int anchors = 0;
 };
 
-/// Chain `anchors` (single strand). Anchors are sorted internally; a
-/// chain never links anchors from different contigs, so each emitted
-/// chain lies within one contig (alignments against the nonexistent
-/// sequence "between" contigs cannot arise). Returns all chains with
-/// >= min_anchors anchors, best first.
+/// Reusable working arrays of chainAnchors: once they have grown to the
+/// largest anchor set seen, chaining allocates nothing.
+struct ChainScratch {
+  std::vector<double> f;              ///< best chain score ending at i
+  std::vector<std::int64_t> parent;   ///< predecessor of i, -1 if none
+  std::vector<std::size_t> order;     ///< anchors by descending f
+  std::vector<unsigned char> used;    ///< claimed by an emitted chain
+  std::vector<std::size_t> members;   ///< the chain being walked
+};
+
+/// Chain `anchors` (single strand) into `out` (cleared first). Anchors
+/// are sorted in place; a chain never links anchors from different
+/// contigs, so each emitted chain lies within one contig (alignments
+/// against the nonexistent sequence "between" contigs cannot arise).
+/// Emits all chains with >= min_anchors anchors, best first.
+void chainAnchors(std::vector<Anchor>& anchors, const ChainParams& params,
+                  ChainScratch& scratch, std::vector<Chain>& out);
+
+/// Allocating convenience over the scratch form.
 [[nodiscard]] std::vector<Chain> chainAnchors(std::vector<Anchor> anchors,
                                               const ChainParams& params);
 

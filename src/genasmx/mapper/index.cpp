@@ -1,11 +1,11 @@
 #include "genasmx/mapper/index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "genasmx/mapper/index_view.hpp"
 #include "genasmx/mapper/minimizer.hpp"
 #include "genasmx/util/thread_pool.hpp"
 
@@ -32,6 +32,19 @@ std::vector<Entry> extractShard(std::size_t offset, std::string_view text,
 }
 
 }  // namespace
+
+KeyDirectory::KeyDirectory(const std::uint64_t* keys, std::size_t n) {
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("KeyDirectory: more than 2^32 - 1 entries");
+  }
+  const std::size_t buckets = std::max<std::size_t>(2, std::bit_ceil(n / 16));
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  // Count each bucket into offsets_[b + 1], then prefix-sum: offsets_[b]
+  // becomes the number of keys in buckets before b.
+  offsets_.assign(buckets + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++offsets_[(keys[i] >> shift_) + 1];
+  for (std::size_t b = 1; b <= buckets; ++b) offsets_[b] += offsets_[b - 1];
+}
 
 void MinimizerIndex::build(const refmodel::Reference& ref, int k, int w,
                            int max_occ, util::ThreadPool* pool,
@@ -79,6 +92,7 @@ void MinimizerIndex::buildShards(const std::vector<Shard>& shards,
   max_occ_ = max_occ;
   keys_.clear();
   values_.clear();
+  dir_ = KeyDirectory();
   per_contig_kept_.assign(contig_count > 0 ? contig_count : 1, 0);
   if (shards.empty()) return;
 
@@ -167,6 +181,7 @@ void MinimizerIndex::buildShards(const std::vector<Shard>& shards,
     }
     i = j;
   }
+  dir_ = KeyDirectory(keys_.data(), keys_.size());
 }
 
 std::size_t MinimizerIndex::distinctKeys() const noexcept {
@@ -178,7 +193,7 @@ std::size_t MinimizerIndex::distinctKeys() const noexcept {
 }
 
 IndexView MinimizerIndex::view(const refmodel::Reference& ref) const {
-  return IndexView(&ref, keys_.data(), values_.data(), keys_.size(),
+  return IndexView(&ref, keys_.data(), values_.data(), keys_.size(), dir_,
                    per_contig_kept_.data(), k_, w_, max_occ_);
 }
 

@@ -1,11 +1,13 @@
 #pragma once
 // Sorted-array minimizer index over a multi-contig reference (minimap2-
-// style): build once, then query through view(), whose O(log N)
+// style): build once, then query through view(), whose
 // IndexView::lookup returns all reference positions of a minimizer the
-// same way for a mapped index file. Positions are global (contig-table)
-// coordinates; extraction runs per contig so no seed ever spans a contig
-// boundary. Over-represented minimizers (repeats) are masked with an
-// occurrence cap, like minimap2's -f filtering.
+// same way for a mapped index file. Lookups go through a KeyDirectory
+// (index_view.hpp) of about n/16 bucket offsets, derived from the keys
+// after every build and never serialized. Positions are global
+// (contig-table) coordinates; extraction runs per contig so no seed ever
+// spans a contig boundary. Over-represented minimizers (repeats) are
+// masked with an occurrence cap, like minimap2's -f filtering.
 //
 // Build is shard-then-merge: each contig's minimizers are extracted and
 // sorted as an independent shard, then shards are pairwise-merged and
@@ -18,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "genasmx/mapper/index_view.hpp"
 #include "genasmx/refmodel/reference.hpp"
 
 namespace gx::util {
@@ -25,14 +28,6 @@ class ThreadPool;
 }
 
 namespace gx::mapper {
-
-class IndexView;
-
-/// Packed index entry value: position << 1 | strand.
-struct IndexHit {
-  std::uint32_t pos;  ///< global (contig-table) coordinate
-  bool reverse;
-};
 
 /// Extraction block size for large contigs: contigs longer than this are
 /// split into overlapping blocks so a single-chromosome reference still
@@ -116,6 +111,7 @@ class MinimizerIndex {
   std::vector<std::uint64_t> keys_;    ///< sorted
   std::vector<std::uint64_t> values_;  ///< pos << 1 | strand, same order
   std::vector<std::uint64_t> per_contig_kept_;
+  KeyDirectory dir_;  ///< derived from keys_ at the end of every build
 };
 
 }  // namespace gx::mapper

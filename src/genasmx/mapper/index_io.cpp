@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -297,10 +298,18 @@ MappedIndex::MappedIndex(io::MappedFile file, Options opt, std::string name)
                      " — rebuild with genasmx_index");
   }
 
+  // Positions are 32-bit, so no reference this code indexes yields more
+  // entries than the directory's 32-bit offsets can count.
+  if (h.n_entries > std::numeric_limits<std::uint32_t>::max()) {
+    reject(path, std::to_string(h.n_entries) +
+                     " entries exceed the 32-bit position space (corrupt "
+                     "file?) — rebuild with genasmx_index");
+  }
+  const auto* keys = reinterpret_cast<const std::uint64_t*>(base + h.keys_off);
+  dir_ = KeyDirectory(keys, h.n_entries);
   view_ = IndexView(
-      &ref_, reinterpret_cast<const std::uint64_t*>(base + h.keys_off),
-      reinterpret_cast<const std::uint64_t*>(base + h.values_off),
-      h.n_entries,
+      &ref_, keys, reinterpret_cast<const std::uint64_t*>(base + h.values_off),
+      h.n_entries, dir_,
       reinterpret_cast<const std::uint64_t*>(base + h.kept_off),
       static_cast<int>(h.k), static_cast<int>(h.w),
       static_cast<int>(h.max_occ));

@@ -30,6 +30,8 @@
 // (IndexIoError). Because keys/values are mapped verbatim, an index
 // served from disk answers every lookup identically to the
 // MinimizerIndex it was written from — the byte-identical-PAF contract.
+// The lookup directory is not a section: the loader derives it from the
+// mapped keys (one pass, n/16 words), exactly as a build does.
 
 #include <cstddef>
 #include <cstdint>
@@ -116,8 +118,9 @@ void writeIndexFile(const std::string& path, const MinimizerIndex& index,
 struct MappedIndexOptions {
   /// Verify the payload checksum at open. The scan runs at memory
   /// bandwidth — still orders of magnitude cheaper than a rebuild —
-  /// but it faults in every page, so genuinely lazy cold starts on
-  /// huge indexes may opt out (the header checksum is always checked).
+  /// but it faults in every page, so cold starts on huge indexes may
+  /// opt out (the header checksum is always checked; the lookup
+  /// directory still reads the keys section once).
   bool verify_payload = true;
 };
 
@@ -160,6 +163,7 @@ class MappedIndex {
  private:
   io::MappedFile file_;
   refmodel::Reference ref_;  ///< external backing over the seq section
+  KeyDirectory dir_;         ///< derived from the mapped keys section
   IndexView view_;
 };
 

@@ -35,25 +35,32 @@ Mapper::Mapper(IndexView view, MapperConfig cfg) : cfg_(cfg), view_(view) {
 }
 
 std::vector<Candidate> Mapper::map(std::string_view read) const {
+  SeedScratch scratch;
   std::vector<Minimizer> mins;
-  return map(read, mins);
+  std::vector<Candidate> out;
+  map(read, scratch, mins, out);
+  return out;
 }
 
-std::vector<Candidate> Mapper::map(std::string_view read,
-                                   std::vector<Minimizer>& mins_out) const {
-  std::vector<Candidate> out;
-  mins_out = extractMinimizers(read, cfg_.k, cfg_.w);
-  const auto& read_mins = mins_out;
-  if (read_mins.empty()) return out;
+void Mapper::map(std::string_view read, SeedScratch& scratch,
+                 std::vector<Minimizer>& mins_out,
+                 std::vector<Candidate>& out) const {
+  out.clear();
+  extractMinimizers(read, cfg_.k, cfg_.w, 0, scratch.mins, scratch.ring);
+  mins_out.assign(scratch.mins.begin(), scratch.mins.end());
+  if (scratch.mins.empty()) return;
   const refmodel::Reference& ref = reference();
 
   // Split anchors by relative strand. For minus-strand anchors, flip the
   // read coordinate so chaining sees a co-linear picture. Anchors carry
   // their contig id so the chaining DP can reject cross-contig pairs.
-  std::vector<Anchor> fwd, rev;
+  std::vector<Anchor>& fwd = scratch.fwd;
+  std::vector<Anchor>& rev = scratch.rev;
+  fwd.clear();
+  rev.clear();
   const std::uint32_t rl = static_cast<std::uint32_t>(read.size());
-  for (const auto& m : read_mins) {
-    for (const auto& hit : view_.lookup(m.key)) {
+  for (const Minimizer& m : scratch.mins) {
+    for (const IndexHit hit : view_.lookup(m.key)) {
       const std::uint32_t contig = ref.contigOf(hit.pos);
       const bool opposite = hit.reverse != m.reverse;
       if (!opposite) {
@@ -65,8 +72,11 @@ std::vector<Candidate> Mapper::map(std::string_view read,
     }
   }
 
-  auto emit = [&](std::vector<Anchor> anchors, bool reverse) {
-    for (const Chain& c : chainAnchors(std::move(anchors), cfg_.chain)) {
+  chainAnchors(fwd, cfg_.chain, scratch.chain, scratch.fwd_chains);
+  chainAnchors(rev, cfg_.chain, scratch.chain, scratch.rev_chains);
+  out.reserve(scratch.fwd_chains.size() + scratch.rev_chains.size());
+  auto emit = [&](const std::vector<Chain>& chains, bool reverse) {
+    for (const Chain& c : chains) {
       const refmodel::Contig& contig = ref.contig(c.contig);
       Candidate cand;
       cand.contig = c.contig;
@@ -88,13 +98,12 @@ std::vector<Candidate> Mapper::map(std::string_view read,
       out.push_back(cand);
     }
   };
-  emit(std::move(fwd), false);
-  emit(std::move(rev), true);
+  emit(scratch.fwd_chains, false);
+  emit(scratch.rev_chains, true);
   std::sort(out.begin(), out.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.score > b.score;
             });
-  return out;
 }
 
 std::vector<AlignmentPair> buildAlignmentPairs(const Mapper& mapper,

@@ -63,6 +63,19 @@ struct Candidate {
   int anchors = 0;
 };
 
+/// Reusable working state of Mapper::map: the minimizer ring and list,
+/// the per-strand anchor and chain arrays, and the chaining DP arrays.
+/// Keep one per seeding thread. Once warm, seeding a read allocates only
+/// the minimizers and candidates the caller keeps, one exact-size block
+/// each, and nothing when the caller reuses its output vectors.
+struct SeedScratch {
+  MinimizerScratch ring;
+  std::vector<Minimizer> mins;
+  std::vector<Anchor> fwd, rev;
+  ChainScratch chain;
+  std::vector<Chain> fwd_chains, rev_chains;
+};
+
 class Mapper {
  public:
   /// Index `ref` and own the result. A non-null `index_pool` parallelizes
@@ -91,14 +104,16 @@ class Mapper {
   /// The query surface of whatever index this Mapper seeds from.
   [[nodiscard]] const IndexView& index() const noexcept { return view_; }
 
-  /// All candidate locations for `read`, best chain first.
-  [[nodiscard]] std::vector<Candidate> map(std::string_view read) const;
+  /// All candidate locations for `read`, best chain first, into `out`
+  /// (cleared first). The read's minimizers land in `mins_out` (the one
+  /// sequence scan seeding performs), so downstream stages — e.g. the
+  /// sketch prefilter — reuse them instead of rescanning.
+  void map(std::string_view read, SeedScratch& scratch,
+           std::vector<Minimizer>& mins_out,
+           std::vector<Candidate>& out) const;
 
-  /// Same, but also hands the caller the read's extracted minimizers (the
-  /// single sequence scan seeding already performs) so downstream stages —
-  /// e.g. the sketch prefilter — can reuse them instead of rescanning.
-  [[nodiscard]] std::vector<Candidate> map(
-      std::string_view read, std::vector<Minimizer>& mins_out) const;
+  /// Allocating convenience over the scratch form.
+  [[nodiscard]] std::vector<Candidate> map(std::string_view read) const;
 
   /// The reference text of a candidate window.
   [[nodiscard]] std::string_view candidateText(const Candidate& c) const {

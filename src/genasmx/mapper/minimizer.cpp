@@ -1,5 +1,6 @@
 #include "genasmx/mapper/minimizer.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "genasmx/common/sequence.hpp"
@@ -35,13 +36,15 @@ void extractMinimizers(std::string_view seq, int k, int w,
   // the original O(w) window rescan made (min key, then max pos), which
   // keeps every downstream byte (index, seeding, PAF) identical while
   // making extraction cheap enough to sketch candidate windows with.
+  // The ring's capacity is w rounded up to a power of two, so slots are
+  // picked with a mask rather than a division by the runtime w.
   using Entry = MinimizerScratch::Entry;
-  if (scratch.ring_.capacity() < static_cast<std::size_t>(w)) {
-    ++scratch.grow_events_;
-  }
-  scratch.ring_.resize(static_cast<std::size_t>(w));
-  Entry* const ring = scratch.ring_.data();
   const std::size_t wz = static_cast<std::size_t>(w);
+  const std::size_t cap = std::bit_ceil(wz);
+  if (scratch.ring_.capacity() < cap) ++scratch.grow_events_;
+  scratch.ring_.resize(cap);
+  Entry* const ring = scratch.ring_.data();
+  const std::size_t ring_mask = cap - 1;
   std::size_t dq_head = 0, dq_tail = 0;  ///< logical deque range [head, tail)
   std::uint32_t last_pos = ~0u;
 
@@ -55,15 +58,19 @@ void extractMinimizers(std::string_view seq, int k, int w,
     const std::uint64_t key = hash64(use_rev ? rev : fwd);
     // Expire entries that slid out of the window [pos-w+1, pos], then
     // drop every back entry the new k-mer dominates (>= keeps the
-    // newest of equal keys). Size stays <= w, so the circular indexing
-    // never wraps onto a live entry.
-    while (dq_head < dq_tail && ring[dq_head % wz].pos + wz <= pos) ++dq_head;
-    while (dq_head < dq_tail && ring[(dq_tail - 1) % wz].key >= key) --dq_tail;
-    ring[dq_tail++ % wz] = Entry{key, pos, use_rev};
+    // newest of equal keys). Size stays <= w <= capacity, so the
+    // circular indexing never wraps onto a live entry.
+    while (dq_head < dq_tail && ring[dq_head & ring_mask].pos + wz <= pos) {
+      ++dq_head;
+    }
+    while (dq_head < dq_tail && ring[(dq_tail - 1) & ring_mask].key >= key) {
+      --dq_tail;
+    }
+    ring[dq_tail++ & ring_mask] = Entry{key, pos, use_rev};
 
     const std::size_t kmers_seen = pos + 1;
     if (kmers_seen < static_cast<std::size_t>(w)) continue;
-    const Entry* best = &ring[dq_head % wz];
+    const Entry* best = &ring[dq_head & ring_mask];
     if (pos < emit_from) {
       // Warm-up window of a block-split extraction: seed the suppression
       // state exactly as the monolithic pass would have left it (after

@@ -349,18 +349,18 @@ void MappingPipeline::seed(BatchWork& b) {
   util::Timer t;
   engine_->pool().parallel_for(
       b.reads.size(), [&](std::size_t begin, std::size_t end) {
+        mapper::SeedScratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
           ReadWork& w = b.work[i];
           try {
-            auto cands = mapper_.map(b.reads[i].seq, w.mins);
-            if (cands.size() > cfg_.max_candidates) {
-              cands.resize(cfg_.max_candidates);
+            mapper_.map(b.reads[i].seq, scratch, w.mins, w.cands);
+            if (w.cands.size() > cfg_.max_candidates) {
+              w.cands.resize(cfg_.max_candidates);
             }
             const bool any_reverse = std::any_of(
-                cands.begin(), cands.end(),
+                w.cands.begin(), w.cands.end(),
                 [](const mapper::Candidate& c) { return c.reverse; });
             if (any_reverse) w.rc = common::reverseComplement(b.reads[i].seq);
-            w.cands = std::move(cands);
           } catch (...) {
             w.cands.clear();
             w.rc.clear();

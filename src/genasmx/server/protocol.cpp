@@ -68,25 +68,25 @@ Status headerLineTooLong() {
 }
 
 FrameReader::Next FrameReader::next(std::string& out) {
+  const std::string_view unread = std::string_view(buf_).substr(head_);
   if (want_) {
     const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(*want_ - payload_.size(), buf_.size()));
-    payload_.append(buf_, 0, take);
-    buf_.erase(0, take);
+        std::min<std::uint64_t>(*want_ - payload_.size(), unread.size()));
+    payload_.append(unread.substr(0, take));
+    head_ += take;
     if (payload_.size() < *want_) return Next::kNeedMore;
     out = std::exchange(payload_, {});
     want_.reset();
     return Next::kFrame;
   }
-  const std::size_t limit = std::min(buf_.size(), kMaxHeaderLine);
-  const std::size_t nl =
-      std::string_view(buf_).substr(0, limit).find('\n', scanned_);
+  const std::size_t limit = std::min(unread.size(), kMaxHeaderLine);
+  const std::size_t nl = unread.substr(0, limit).find('\n', scanned_);
   if (nl == std::string_view::npos) {
     scanned_ = limit;
     return limit == kMaxHeaderLine ? Next::kTooLarge : Next::kNeedMore;
   }
-  out.assign(buf_, 0, nl);
-  buf_.erase(0, nl + 1);
+  out.assign(unread.substr(0, nl));
+  head_ += nl + 1;
   scanned_ = 0;
   return Next::kFrame;
 }

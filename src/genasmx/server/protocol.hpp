@@ -71,7 +71,14 @@ class FrameReader {
     kTooLarge,  ///< the pending line reached kMaxHeaderLine without '\n'
   };
 
-  void append(std::string_view bytes) { buf_.append(bytes); }
+  /// Buffer received bytes. Consumed bytes are dropped here, once per
+  /// append, not once per frame: a recv full of small pipelined frames
+  /// costs linear, not quadratic, memmove.
+  void append(std::string_view bytes) {
+    buf_.erase(0, head_);
+    head_ = 0;
+    buf_.append(bytes);
+  }
 
   /// The next frame is an `n`-byte payload (its header announced it).
   void expectPayload(std::uint64_t n) { want_ = n; }
@@ -82,14 +89,15 @@ class FrameReader {
   /// True iff part of a frame is held or a payload is still due: EOF
   /// here tears a frame.
   [[nodiscard]] bool midFrame() const noexcept {
-    return want_.has_value() || !buf_.empty();
+    return want_.has_value() || head_ < buf_.size();
   }
 
  private:
-  std::string buf_;                    ///< received, not yet handed out
+  std::string buf_;                    ///< received; [head_, end) unread
+  std::size_t head_ = 0;               ///< bytes of buf_ handed out
   std::string payload_;                ///< the expected payload so far
   std::optional<std::uint64_t> want_;  ///< its size, while one is due
-  std::size_t scanned_ = 0;            ///< prefix of buf_ with no '\n'
+  std::size_t scanned_ = 0;            ///< unread prefix with no '\n'
 };
 
 enum class RequestKind : std::uint8_t { kMap, kStats, kPing };

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "genasmx/readsim/genome.hpp"
 #include "genasmx/readsim/read_simulator.hpp"
 #include "genasmx/refmodel/reference.hpp"
+#include "genasmx/util/prng.hpp"
 #include "single_phase_reference.hpp"
 
 namespace gx::mapper {
@@ -137,6 +139,106 @@ TEST(IndexIo, LookupParityBetweenSources) {
     }
   }
   EXPECT_TRUE(disk.lookup(~std::uint64_t(0)).empty());
+}
+
+/// The whole-array binary search lookup used before the directory:
+/// the oracle every directory lookup must match, hit for hit and in
+/// array offset (an empty answer included).
+void expectLookupMatchesLowerBound(const IndexView& view, std::uint64_t key) {
+  const std::uint64_t* keys = view.keysData();
+  const auto [lo, hi] = std::equal_range(keys, keys + view.size(), key);
+  const HitRange got = view.lookup(key);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(hi - lo)) << "key " << key;
+  ASSERT_EQ(got.offset(), static_cast<std::size_t>(lo - keys)) << "key " << key;
+  std::size_t i = got.offset();
+  for (const IndexHit hit : got) {
+    EXPECT_EQ(hit.pos, view.valuesData()[i] >> 1) << "key " << key;
+    EXPECT_EQ(hit.reverse, (view.valuesData()[i] & 1) != 0) << "key " << key;
+    ++i;
+  }
+}
+
+/// Every stored key, its neighbours, random keys (absent but for
+/// astronomically rare collisions), the first and last key of every
+/// directory bucket, 0 and ~0.
+void expectDirectoryMatchesLowerBound(const IndexView& view) {
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const std::uint64_t key = view.keysData()[i];
+    if (i > 0 && key == view.keysData()[i - 1]) continue;
+    expectLookupMatchesLowerBound(view, key);
+    expectLookupMatchesLowerBound(view, key - 1);
+    expectLookupMatchesLowerBound(view, key + 1);
+  }
+  util::Xoshiro256 rng(view.size() + 1);
+  for (int i = 0; i < 2'000; ++i) expectLookupMatchesLowerBound(view, rng());
+  // The views' own directories are sized the same way from the keys.
+  const unsigned bits = 64 - KeyDirectory(view.keysData(), view.size()).shift();
+  ASSERT_GE(bits, 1u);
+  ASSERT_LE(bits, 32u);
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << bits); ++b) {
+    const std::uint64_t first = b << (64 - bits);
+    expectLookupMatchesLowerBound(view, first);
+    expectLookupMatchesLowerBound(view, first - 1);  // last of bucket b-1
+  }
+  expectLookupMatchesLowerBound(view, 0);
+  expectLookupMatchesLowerBound(view, ~std::uint64_t{0});
+}
+
+TEST(Index, DirectoryLookupMatchesLowerBound) {
+  // Built and mmap'd sources: a repeat-rich multi-contig index with a
+  // tight cap, the same reference with a loose cap (keys with many
+  // hits), and indexes of 0, 1 and 2 entries (w = 1 over 14, 15 and 16
+  // bases).
+  constexpr std::size_t kAny = ~std::size_t{0};
+  struct Case {
+    refmodel::Reference ref;
+    int w;
+    int max_occ;
+    std::size_t entries;
+  };
+  std::vector<Case> cases;
+  cases.push_back({repeatRichRef(3, 29), 10, 16, kAny});
+  cases.push_back({repeatRichRef(2, 31), 10, 100'000, kAny});
+  const std::string bases = "ACGTTGCAAGCTTACG";
+  for (std::size_t len = 14; len <= 16; ++len) {
+    cases.push_back(
+        {refmodel::Reference("tiny", bases.substr(0, len)), 1, 64, len - 14});
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    MinimizerIndex index;
+    index.build(cases[c].ref, 15, cases[c].w, cases[c].max_occ);
+    if (cases[c].entries != kAny) {
+      ASSERT_EQ(index.size(), cases[c].entries);
+    }
+    const std::string path = tempPath("directory.gxi");
+    writeIndexFile(path, index, cases[c].ref);
+    const MappedIndex mapped(path);
+    expectDirectoryMatchesLowerBound(index.view(cases[c].ref));
+    expectDirectoryMatchesLowerBound(mapped.view());
+  }
+
+  // Many distinct keys crowded into one bucket (with repeats), plus a
+  // few elsewhere: a directory over a synthetic sorted key array.
+  std::vector<std::uint64_t> keys = {1, 2, 2, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; i < 3'000; ++i) {
+    keys.push_back((std::uint64_t{5} << 60) + 3 * (i / 2));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint64_t> values(keys.size());
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 2 * i + (i & 1);
+  const refmodel::Reference ref("r", "ACGT");
+  const std::uint64_t kept = keys.size();
+  const KeyDirectory dir(keys.data(), keys.size());
+  EXPECT_EQ(dir.shift(), 64u - 8u);  // 3 004 / 16 -> 256 buckets
+  const IndexView crowded(&ref, keys.data(), values.data(), keys.size(), dir,
+                          &kept, 15, 10, 64);
+  expectDirectoryMatchesLowerBound(crowded);
+  EXPECT_EQ(crowded.lookup((std::uint64_t{5} << 60) + 3).size(), 2u);
+
+  // A default view answers every lookup empty.
+  EXPECT_TRUE(IndexView().lookup(0).empty());
+  EXPECT_TRUE(IndexView().lookup(~std::uint64_t{0}).empty());
 }
 
 TEST(IndexIo, MapperEmitsSameCandidatesFromBothSources) {

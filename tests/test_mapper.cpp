@@ -83,6 +83,80 @@ TEST(Minimizer, ShortSequenceAndValidation) {
   EXPECT_THROW(extractMinimizers("ACGT", 15, 0), std::invalid_argument);
 }
 
+/// The minimizer definition the deque ring must reproduce, by an O(w)
+/// rescan of every full window: minimum key, newest position on ties;
+/// consecutive duplicate picks are emitted once, and windows whose last
+/// k-mer starts before `emit_from` only seed that suppression state.
+std::vector<Minimizer> rescanMinimizers(std::string_view seq, int k, int w,
+                                        std::size_t emit_from) {
+  std::vector<Minimizer> out;
+  const auto ku = static_cast<std::size_t>(k);
+  const auto wu = static_cast<std::size_t>(w);
+  if (seq.size() < ku) return out;
+  std::vector<Minimizer> kmers(seq.size() - ku + 1);
+  for (std::size_t p = 0; p < kmers.size(); ++p) {
+    std::uint64_t fwd = 0, rev = 0;
+    for (std::size_t j = 0; j < ku; ++j) {
+      const std::uint64_t c = common::baseCode(seq[p + j]);
+      fwd = (fwd << 2) | c;
+      rev |= (3 ^ c) << (2 * j);
+    }
+    kmers[p] = Minimizer{hash64(rev < fwd ? rev : fwd),
+                         static_cast<std::uint32_t>(p), rev < fwd};
+  }
+  std::uint32_t last = ~0u;
+  for (std::size_t p = wu - 1; p < kmers.size(); ++p) {
+    std::size_t best = p + 1 - wu;
+    for (std::size_t q = best; q <= p; ++q) {
+      if (kmers[q].key <= kmers[best].key) best = q;
+    }
+    if (p >= emit_from && kmers[best].pos != last) out.push_back(kmers[best]);
+    last = kmers[best].pos;
+  }
+  return out;
+}
+
+TEST(Minimizer, RingMatchesRescanOracle) {
+  util::Xoshiro256 rng(17);
+  std::vector<std::string> seqs;
+  seqs.push_back(common::randomSequence(rng, 1'500));
+  // Low complexity forces key ties inside a window: homopolymers, short
+  // periods, a two-letter alphabet, and random runs with N (codes as A).
+  seqs.emplace_back(300, 'A');
+  std::string period2, period5, binary, runs;
+  for (int i = 0; i < 200; ++i) period2 += "AC";
+  for (int i = 0; i < 100; ++i) period5 += "AAAAC";
+  for (int i = 0; i < 800; ++i) binary += rng.chance(0.5) ? 'A' : 'C';
+  while (runs.size() < 1'000) {
+    runs.append(static_cast<std::size_t>(rng.range(1, 12)),
+                "ACGTN"[rng.below(5)]);
+  }
+  for (auto* s : {&period2, &period5, &binary, &runs}) seqs.push_back(*s);
+
+  MinimizerScratch scratch;  // one ring reused across every (k, w)
+  std::vector<Minimizer> got;
+  for (const int w : {1, 2, 3, 5, 10, 16, 17, 64}) {
+    for (const int k : {4, 15, 31}) {
+      for (const std::string& seq : seqs) {
+        for (const std::size_t emit_from :
+             {std::size_t{0}, std::size_t{7}, seq.size() / 2}) {
+          const auto want = rescanMinimizers(seq, k, w, emit_from);
+          extractMinimizers(seq, k, w, emit_from, got, scratch);
+          ASSERT_EQ(got.size(), want.size())
+              << "w=" << w << " k=" << k << " emit_from=" << emit_from
+              << " len=" << seq.size();
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].key, want[i].key) << "w=" << w << " k=" << k;
+            ASSERT_EQ(got[i].pos, want[i].pos) << "w=" << w << " k=" << k;
+            ASSERT_EQ(got[i].reverse, want[i].reverse)
+                << "w=" << w << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------------- index
 
 TEST(Index, LookupFindsIndexedPositions) {
@@ -393,6 +467,43 @@ TEST(Mapper, MultiContigCandidatesStayInBoundsAndFindOrigins) {
   }
   EXPECT_GE(located * 100, static_cast<int>(reads.size()) * 90)
       << located << " of " << reads.size();
+}
+
+TEST(Mapper, ReusedSeedScratchMatchesFreshScratch) {
+  // One scratch and one pair of output vectors carried across reads of
+  // every length (and a read too short to seed) gives exactly what a
+  // fresh allocating map gives: no state leaks from read to read.
+  const auto ref = multiContigRef();
+  Mapper mapper{ref};
+  auto rcfg = readsim::ReadSimConfig::pacbioClr(30, 2'500);
+  rcfg.seed = 9;
+  auto reads = readsim::simulateReads(ref, rcfg);
+  reads[7].seq.resize(12);
+  reads[13].seq.resize(400);
+  SeedScratch scratch;
+  std::vector<Minimizer> mins;
+  std::vector<Candidate> got;
+  for (const auto& r : reads) {
+    mapper.map(r.seq, scratch, mins, got);
+    const auto want = mapper.map(r.seq);
+    const auto want_mins = extractMinimizers(r.seq, 15, 10);
+    ASSERT_EQ(mins.size(), want_mins.size()) << r.name;
+    for (std::size_t i = 0; i < mins.size(); ++i) {
+      EXPECT_EQ(mins[i].key, want_mins[i].key) << r.name;
+      EXPECT_EQ(mins[i].pos, want_mins[i].pos) << r.name;
+    }
+    ASSERT_EQ(got.size(), want.size()) << r.name;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].contig, want[i].contig) << r.name;
+      EXPECT_EQ(got[i].ref_begin, want[i].ref_begin) << r.name;
+      EXPECT_EQ(got[i].ref_end, want[i].ref_end) << r.name;
+      EXPECT_EQ(got[i].read_begin, want[i].read_begin) << r.name;
+      EXPECT_EQ(got[i].read_end, want[i].read_end) << r.name;
+      EXPECT_EQ(got[i].reverse, want[i].reverse) << r.name;
+      EXPECT_EQ(got[i].score, want[i].score) << r.name;
+      EXPECT_EQ(got[i].anchors, want[i].anchors) << r.name;
+    }
+  }
 }
 
 TEST(Mapper, BoundaryReadsMapToTheirOwnContig) {

@@ -360,6 +360,17 @@ TEST(Protocol, FrameReaderCapsTheLineWhateverTheSplit) {
                 "L:PING", "clean"}));
 }
 
+TEST(Protocol, FrameReaderDrainsPipelinedPingsFromLargeAppends) {
+  // 13 200 pipelined PINGs in 64 KiB appends: every line comes out once
+  // and in order, the one split across the append boundary included,
+  // and the reader ends between frames.
+  std::string stream;
+  for (int i = 0; i < 13'200; ++i) stream += "PING\n";
+  std::vector<std::string> want(13'200, "L:PING");
+  want.emplace_back("clean");
+  EXPECT_EQ(frameEvents(stream, 64 * 1024), want);
+}
+
 // ---------------------------------------------------------- histogram
 
 TEST(LatencyHistogramTest, SmallValuesExactAndQuantilesMonotone) {
